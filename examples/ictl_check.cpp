@@ -88,7 +88,6 @@ int run(const ictl::kripke::Structure& m, const std::string& formula_text) {
       std::cout << "          (demonstrates "
                 << logic::to_string(explanation->shape) << ")\n";
     }
-    checker.publish_stats(obs::Registry::global());
   }
   return result.holds ? 0 : 1;
 }

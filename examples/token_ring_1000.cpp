@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
         sym.system->relation_node_count(), sym.system->partition().size(),
         encode_ms, reach_ms, count_ms, check_ms, p2 ? "holds" : "FAILS",
         i3 ? "holds" : "FAILS", sym.system->manager().stats().peak_nodes);
-    if (r == 128u) checker.publish_stats(obs::Registry::global());
   }
   std::printf("  (certificate transfer above concluded P2/I3 for ALL r; the\n"
               "   symbolic fixpoints now cross-check sizes no enumeration could)\n");

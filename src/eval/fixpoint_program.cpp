@@ -49,7 +49,7 @@ std::string FixpointProgram::disassemble() const {
       out += "  L";
       out += std::to_string(i);
       out += " = ";
-      out += logic::to_string(leaves[i]);
+      out += logic::to_string(leaves[i].formula);
       out += '\n';
     }
   }

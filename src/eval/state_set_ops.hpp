@@ -8,6 +8,11 @@
 // the symbolic engine uses the reachable set (its structures are compared
 // against reachable-restricted explicit ones, so the engines still agree
 // state-for-state — the same convention the recursive checkers followed).
+// Leaves arrive resolved to proposition ids (resolve_leaf in
+// program_compiler.hpp): `prop(p)` is the set of states labeled p — empty
+// when the model carries no label for p, e.g. a proposition registered
+// after the build — and `exactly_one(members)` the states labeled by
+// exactly one member.
 // `eu`/`eg` are whole fixpoints, not single steps: the IR's loop headers
 // delegate the iteration schedule to the backend so each engine keeps its
 // native algorithm (frontier worklists, successor-counting elimination,
@@ -17,20 +22,23 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <span>
 
 #include "eval/fixpoint_program.hpp"
-#include "logic/formula.hpp"
+#include "kripke/prop_registry.hpp"
 
 namespace ictl::eval {
 
 // clang-format off
 template <typename O>
 concept StateSetOps =
-    requires(O ops, const typename O::Set& s, const logic::FormulaPtr& f) {
+    requires(O ops, const typename O::Set& s, kripke::PropId p,
+             std::span<const kripke::PropId> members) {
       typename O::Set;
       { ops.top() } -> std::same_as<typename O::Set>;
       { ops.bottom() } -> std::same_as<typename O::Set>;
-      { ops.leaf(f) } -> std::same_as<typename O::Set>;
+      { ops.prop(p) } -> std::same_as<typename O::Set>;
+      { ops.exactly_one(members) } -> std::same_as<typename O::Set>;
       { ops.complement(s) } -> std::same_as<typename O::Set>;
       { ops.conj(s, s) } -> std::same_as<typename O::Set>;
       { ops.disj(s, s) } -> std::same_as<typename O::Set>;

@@ -4,89 +4,30 @@
 //
 // Works on the CTL fragment (see logic::is_ctl): booleans and index
 // quantifiers over state formulas with path quantifiers applied directly to
-// F/G/U/R.  The checker is a thin façade over the compiled evaluation core
-// (src/eval): each formula DAG is compiled once into a flat FixpointProgram
-// (CSE'd, register-allocated) and executed by the ProgramEvaluator over
-// ExplicitStateOps — bitset primitives on the structure's CSR transition
-// engine: EX via Structure::pre_image, E[f U g] by frontier-based backward
-// reachability, EG f by successor-counting elimination.  Every other
-// connective reduces to these through the standard dualities, applied at
-// compile time.  Linear-time in |S| + |R| per formula node.
+// F/G/U/R.  The checker is the one eval::Checker façade (eval/checker.hpp)
+// over ExplicitStateOps — bitset primitives on the structure's CSR
+// transition engine: EX via Structure::pre_image, E[f U g] by
+// frontier-based backward reachability, EG f by successor-counting
+// elimination.  Every other connective reduces to these through the
+// standard dualities, applied at compile time.  Linear-time in |S| + |R|
+// per formula node.
 //
 // The backend owns a scratch arena (worklist + counters, pre-reserved at
 // construction) that the fixpoint instructions reuse, so sat() performs no
 // heap allocation per fixpoint iteration once the checker is warm.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
-
-#include "eval/program_compiler.hpp"
-#include "eval/program_evaluator.hpp"
-#include "kripke/structure.hpp"
-#include "logic/formula.hpp"
+#include "eval/checker.hpp"
 #include "mc/explicit_ops.hpp"
 #include "support/bitset.hpp"
-
-namespace ictl::obs {
-class Registry;  // obs/obs.hpp — publish_stats bridges into the registry
-}
 
 namespace ictl::mc {
 
 using SatSet = support::DynamicBitset;
 
-struct CtlCheckerOptions {
-  /// When false, an atom not present in the registry raises LogicError;
-  /// when true it is treated as false in every state.
-  bool unknown_atoms_are_false = false;
-};
-
-class CtlChecker {
- public:
-  explicit CtlChecker(const kripke::Structure& m, CtlCheckerOptions options = {});
-
-  /// Satisfying set of a CTL state formula.  Index quantifiers are expanded
-  /// over the structure's index set; `one P` is evaluated from the labels.
-  /// Throws LogicError when `f` is outside the CTL fragment or has free
-  /// index variables.
-  [[nodiscard]] const SatSet& sat(const logic::FormulaPtr& f);
-
-  /// True when the initial state satisfies `f`.
-  [[nodiscard]] bool holds_initially(const logic::FormulaPtr& f);
-
-  /// The compiled program for `f` (cached; tests and tools inspect its
-  /// disassembly).  Same fragment check as sat(), no evaluation.
-  [[nodiscard]] std::shared_ptr<const eval::FixpointProgram> program(
-      const logic::FormulaPtr& f);
-
-  [[nodiscard]] const kripke::Structure& structure() const noexcept { return m_; }
-
-  /// Compile-side counters (programs compiled, cache and CSE hits).
-  [[nodiscard]] const eval::ProgramCompiler::Stats& compile_stats() const noexcept {
-    return compiler_.stats();
-  }
-  /// Run-side counters (instructions executed, fixpoint iterations,
-  /// register high-water mark) accumulated across every sat() call.
-  [[nodiscard]] const eval::EvalStats& eval_stats() const noexcept {
-    return evaluator_.stats();
-  }
-
-  /// Mirrors both stats blocks into `registry` under "mc/eval" and
-  /// "mc/compile" (the unified obs::Registry export).
-  void publish_stats(obs::Registry& registry) const;
-
- private:
-  const kripke::Structure& m_;
-  ExplicitStateOps ops_;
-  eval::ProgramCompiler compiler_;
-  eval::ProgramEvaluator<ExplicitStateOps> evaluator_;
-  // Result memo keyed on hash-consed node identity (Formula::id — never
-  // reused, so no stale-entry aliasing); each entry is the program's root
-  // register after a run.  The compiler's program cache retains the root
-  // formulas, keeping their cons-table entries alive so structurally equal
-  // rebuilds still hit both caches.
-  std::unordered_map<std::uint64_t, SatSet> memo_;
-};
+/// Explicit-state CTL checker over a kripke::Structure whose transition
+/// relation is total (ModelError otherwise).  sat() returns a bitset over
+/// the structure's states; holds_initially() tests its initial state.
+using CtlChecker = eval::Checker<ExplicitStateOps>;
 
 }  // namespace ictl::mc

@@ -53,18 +53,18 @@ class Checker {
   [[nodiscard]] const CheckerStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const kripke::Structure& structure() const noexcept { return m_; }
 
-  /// Evaluation-core counters of the CTL fast path (the lazily created
-  /// CtlChecker compiles formulas to fixpoint programs; these are its
-  /// run-side stats).  All zeroes before the first fast-path hit.
+  /// Evaluation-core counters of the CTL engine (see ctl(); it compiles
+  /// formulas to fixpoint programs, these are its run-side stats).  All
+  /// zeroes before its first use.
   [[nodiscard]] eval::EvalStats ctl_eval_stats() const noexcept {
     return ctl_ != nullptr ? ctl_->eval_stats() : eval::EvalStats{};
   }
 
-  /// Mirrors CheckerStats into `registry` under "ctlstar", plus the lazy
-  /// CTL fast path's stats (when it was created) under "mc/...".
-  void publish_stats(obs::Registry& registry) const;
-
  private:
+  /// The CTL engine, created on first use: it decides CTL-fragment formulas
+  /// on the fast path and the literal leaves of every route, so atom names
+  /// resolve in one place.
+  CtlChecker& ctl();
   SatSet compute(const logic::FormulaPtr& f);
   SatSet sat_exists_path(const logic::FormulaPtr& g);
 
@@ -75,7 +75,7 @@ class Checker {
   const kripke::Structure& m_;
   CheckerOptions options_;
   CheckerStats stats_;
-  std::unique_ptr<CtlChecker> ctl_;  // lazily created fast path
+  std::unique_ptr<CtlChecker> ctl_;  // see ctl()
   // Memo keyed on hash-consed node identity (Formula::id — never reused, so
   // no stale-entry aliasing); retaining the formulas keeps their cons-table
   // entries alive so structurally equal rebuilds still hit the cache.

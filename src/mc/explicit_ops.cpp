@@ -1,17 +1,17 @@
 #include "mc/explicit_ops.hpp"
 
-#include "mc/leaf_sat.hpp"
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
 #include "rt/failpoint.hpp"
+#include "support/error.hpp"
 
 namespace ictl::mc {
 
 using Set = ExplicitStateOps::Set;
 
-ExplicitStateOps::ExplicitStateOps(const kripke::Structure& m,
-                                   bool unknown_atoms_are_false)
-    : m_(m), unknown_atoms_are_false_(unknown_atoms_are_false) {
+ExplicitStateOps::ExplicitStateOps(const kripke::Structure& m) : m_(m) {
+  support::require<ModelError>(m.is_total(),
+                               "CtlChecker: transition relation must be total");
   // Pre-size the scratch arena so the fixpoint primitives never allocate:
   // the worklist holds each state at most once per eu/eg call.
   worklist_.reserve(m.num_states());
@@ -26,8 +26,25 @@ Set ExplicitStateOps::top() const {
 
 Set ExplicitStateOps::bottom() const { return Set(m_.num_states()); }
 
-Set ExplicitStateOps::leaf(const logic::FormulaPtr& f) const {
-  return leaf_sat_set(m_, f, unknown_atoms_are_false_);
+Set ExplicitStateOps::prop(kripke::PropId p) const { return m_.states_with(p); }
+
+Set ExplicitStateOps::exactly_one(std::span<const kripke::PropId> members) const {
+  // Word-parallel exactly-one over the member columns: `ones` accumulates
+  // states holding >= 1 member, `twos` states holding >= 2; the answer is
+  // ones & ~twos, computed 64 states per word op.
+  Set ones(m_.num_states());
+  Set twos(m_.num_states());
+  const auto ones_w = ones.mutable_words();
+  const auto twos_w = twos.mutable_words();
+  for (const kripke::PropId p : members) {
+    const auto col_w = m_.states_with(p).words();
+    for (std::size_t w = 0; w < ones_w.size(); ++w) {
+      twos_w[w] |= ones_w[w] & col_w[w];
+      ones_w[w] |= col_w[w];
+    }
+  }
+  for (std::size_t w = 0; w < ones_w.size(); ++w) ones_w[w] &= ~twos_w[w];
+  return ones;
 }
 
 Set ExplicitStateOps::complement(const Set& s) const {

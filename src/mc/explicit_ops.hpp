@@ -11,10 +11,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kripke/structure.hpp"
-#include "logic/formula.hpp"
 #include "support/bitset.hpp"
 
 namespace ictl::mc {
@@ -22,14 +22,19 @@ namespace ictl::mc {
 class ExplicitStateOps {
  public:
   using Set = support::DynamicBitset;
+  using Model = const kripke::Structure&;
 
-  explicit ExplicitStateOps(const kripke::Structure& m,
-                            bool unknown_atoms_are_false);
+  /// Throws ModelError unless `m`'s transition relation is total.
+  explicit ExplicitStateOps(const kripke::Structure& m);
 
   /// Universe = the whole state space; complement is the plain bit flip.
   [[nodiscard]] Set top() const;
   [[nodiscard]] Set bottom() const;
-  [[nodiscard]] Set leaf(const logic::FormulaPtr& f) const;
+  /// A copy of the structure's label column for `p` (empty for a
+  /// proposition registered after the build).
+  [[nodiscard]] Set prop(kripke::PropId p) const;
+  /// Word-parallel exactly-one over the member columns.
+  [[nodiscard]] Set exactly_one(std::span<const kripke::PropId> members) const;
   [[nodiscard]] Set complement(const Set& s) const;
   [[nodiscard]] Set conj(const Set& a, const Set& b) const;
   [[nodiscard]] Set disj(const Set& a, const Set& b) const;
@@ -50,11 +55,14 @@ class ExplicitStateOps {
     return last_iterations_;
   }
 
-  [[nodiscard]] const kripke::Structure& structure() const noexcept { return m_; }
+  [[nodiscard]] bool includes_initial(const Set& s) const {
+    return s.test(m_.initial());
+  }
+
+  [[nodiscard]] const kripke::Structure& model() const noexcept { return m_; }
 
  private:
   const kripke::Structure& m_;
-  bool unknown_atoms_are_false_;
   // Scratch arena, reserved to num_states() at construction and reused by
   // every eu/eg call.
   std::vector<kripke::StateId> worklist_;

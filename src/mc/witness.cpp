@@ -78,7 +78,7 @@ Trace lasso_within(const kripke::Structure& m, StateId start, const SatSet& core
 /// Builds the witness trace for an E-shape at `state` (which must satisfy
 /// it).  Supported shapes: E F f, E G f, E (f U g).
 Trace build_witness(CtlChecker& checker, const FormulaPtr& shape, StateId state) {
-  const kripke::Structure& m = checker.structure();
+  const kripke::Structure& m = checker.ops().model();
   ICTL_ASSERT(shape->kind() == Kind::kExistsPath);
   const FormulaPtr& path_formula = shape->lhs();
   switch (path_formula->kind()) {
@@ -109,7 +109,7 @@ Trace build_witness(CtlChecker& checker, const FormulaPtr& shape, StateId state)
 std::optional<Explanation> explain(CtlChecker& checker, const FormulaPtr& f,
                                    StateId state) {
   support::require<LogicError>(f != nullptr, "explain: null formula");
-  const kripke::Structure& m = checker.structure();
+  const kripke::Structure& m = checker.ops().model();
   support::require<ModelError>(state < m.num_states(), "explain: bad state");
   const bool verdict = checker.sat(f).test(state);
 
@@ -174,7 +174,7 @@ std::optional<Explanation> explain(CtlChecker& checker, const FormulaPtr& f,
 
 bool validate_trace(CtlChecker& checker, const FormulaPtr& shape, const Trace& trace,
                     StateId start) {
-  const kripke::Structure& m = checker.structure();
+  const kripke::Structure& m = checker.ops().model();
   if (trace.states.empty() || trace.states.front() != start) return false;
   // Transition validity, including the closing edge of a lasso.
   for (std::size_t i = 0; i + 1 < trace.states.size(); ++i) {

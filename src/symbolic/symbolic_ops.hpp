@@ -15,8 +15,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
-#include "logic/formula.hpp"
+#include "kripke/prop_registry.hpp"
 #include "symbolic/transition_system.hpp"
 
 namespace ictl::symbolic {
@@ -24,14 +25,20 @@ namespace ictl::symbolic {
 class SymbolicStateOps {
  public:
   using Set = BddRef;
+  using Model = std::shared_ptr<const TransitionSystem>;
 
-  explicit SymbolicStateOps(std::shared_ptr<const TransitionSystem> system,
-                            bool unknown_atoms_are_false);
+  explicit SymbolicStateOps(std::shared_ptr<const TransitionSystem> system);
 
   /// Universe = the reachable set (checker-rooted for the ops' lifetime).
   [[nodiscard]] Set top() const;
   [[nodiscard]] Set bottom() const;
-  [[nodiscard]] Set leaf(const logic::FormulaPtr& f) const;
+  /// reach & the characteristic function of `p` — false everywhere when the
+  /// system carries none, like the explicit engine's empty column for a
+  /// proposition registered after the build.
+  [[nodiscard]] Set prop(kripke::PropId p) const;
+  /// reach & "exactly one member holds", by a running none/one scan over
+  /// the members' characteristic functions.
+  [[nodiscard]] Set exactly_one(std::span<const kripke::PropId> members) const;
   /// reach & !s — complement within the reachable universe.
   [[nodiscard]] Set complement(const Set& s) const;
   [[nodiscard]] Set conj(const Set& a, const Set& b) const;
@@ -51,15 +58,15 @@ class SymbolicStateOps {
     return last_iterations_;
   }
 
-  [[nodiscard]] const TransitionSystem& system() const noexcept {
-    return *system_;
-  }
+  /// True when every initial state lies in `s`.
+  [[nodiscard]] bool includes_initial(const Set& s) const;
+
+  [[nodiscard]] const TransitionSystem& model() const noexcept { return *system_; }
 
  private:
   [[nodiscard]] BddRef ex_raw(Bdd f) const;
 
   std::shared_ptr<const TransitionSystem> system_;
-  bool unknown_atoms_are_false_;
   // Ops-rooted universe: the system caches reachable() too, but holding our
   // own ref keeps it alive even if the system is mutated or outlived —
   // raw Bdd members are exactly what tools/ictl_lint forbids.

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  sym_checker.publish_stats(obs::Registry::global());
   const std::size_t events = obs::trace_stop_to_file(argv[1]);
   std::printf("%zu trace events -> %s\n", events, argv[1]);
   return events == 0 ? 1 : 0;

@@ -243,7 +243,8 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
   for (const auto& f : formulas) {
     EXPECT_EQ(after.holds_initially(f), before.holds_initially(f))
         << logic::to_string(f);
-    EXPECT_DOUBLE_EQ(after.count_sat(f), before.count_sat(f))
+    EXPECT_EQ(loaded->count_states_exact(after.sat(f)),
+              orig->count_states_exact(before.sat(f)))
         << logic::to_string(f);
   }
 }

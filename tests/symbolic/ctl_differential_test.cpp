@@ -60,8 +60,7 @@ logic::FormulaPtr random_ctl(Rng& rng, std::size_t depth) {
 }
 
 /// Richer leaves for the symbolic-vs-explicit two-way comparison on rings:
-/// concrete indexed atoms and the theta proposition, which the naive
-/// evaluator does not handle.
+/// concrete indexed atoms and the theta proposition.
 logic::FormulaPtr random_ring_ctl(Rng& rng, std::uint32_t r, std::size_t depth) {
   using namespace logic;
   if (depth == 0) {
@@ -194,16 +193,15 @@ TEST_P(RingDifferential, RandomFormulasAgreeStateForState) {
           << "r=" << r << " state " << s << " " << logic::to_string(f);
     }
     // And the sat-set sizes line up (catches onto-ness, not just inclusion).
-    EXPECT_DOUBLE_EQ(symbolic_checker.count_sat(f),
-                     static_cast<double>(expected.count()))
+    EXPECT_EQ(sym.system->count_states_exact(actual), SatCount::make(expected.count()))
         << "r=" << r << " " << logic::to_string(f);
   }
 }
 
 TEST_P(RingDifferential, PlainAtomFormulasAgreeThreeWays) {
-  // The naive reference only evaluates plain atoms (p/q, unknown on rings,
-  // reading false everywhere) — which is exactly what makes it a good
-  // third opinion on the boolean/fixpoint plumbing of both fast engines.
+  // Plain atoms p/q are unknown on rings and read false everywhere — which
+  // is exactly what makes the naive reference a good third opinion on the
+  // boolean/fixpoint plumbing of both fast engines.
   const std::uint32_t r = GetParam();
   auto reg = kripke::make_registry();
   const auto explicit_sys = testing::ring_of(r, reg);
@@ -247,7 +245,7 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
   // states): reorders sweep the dead fixpoint intermediates instead of
   // dragging them through every swap.  At r = 16 the per-state comparison
   // samples a coprime stride and the full sat-set is pinned exactly via
-  // count_sat; smaller sizes stay exhaustive.
+  // count_states_exact; smaller sizes stay exhaustive.
   for (const std::uint32_t r : {3u, 5u, 8u, 16u}) {
     auto reg = kripke::make_registry();
     const auto explicit_sys = testing::ring_of(r, reg);
@@ -284,8 +282,8 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
               << logic::to_string(f);
         // The exact set sizes agree — with a strided sample above this pins
         // the whole set far harder than the sample alone.
-        EXPECT_DOUBLE_EQ(symbolic_checker.count_sat(f),
-                         static_cast<double>(expected.count()))
+        EXPECT_EQ(sym.system->count_states_exact(actual),
+                  SatCount::make(expected.count()))
             << "r=" << r << " variant=" << variant << " " << logic::to_string(f);
       }
       if (options.dynamic_reordering) {

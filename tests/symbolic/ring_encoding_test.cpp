@@ -133,8 +133,9 @@ TEST(SymbolicRing, ChecksSectionFiveAgPropertiesAtThirtyTwo) {
   EXPECT_TRUE(checker.holds_initially(ring::invariant_one_token()));
   // And the sat sets are exactly the reachable states: every one of the
   // 32 * 2^32 states satisfies both.
-  EXPECT_DOUBLE_EQ(checker.count_sat(ring::property_critical_implies_token()),
-                   static_cast<double>(ring::ring_state_count(32)));
+  EXPECT_EQ(ring.system->count_states_exact(
+                checker.sat(ring::property_critical_implies_token())),
+            SatCount::make(ring::ring_state_count(32)));
 }
 
 TEST(SymbolicRing, SharedRegistryAlignsPropIds) {
