@@ -32,11 +32,14 @@ std::vector<std::uint32_t> indices_up_to(std::uint32_t r) {
 void BM_CompileSectionFiveSuite(benchmark::State& state) {
   const auto r = static_cast<std::uint32_t>(state.range(0));
   const auto indices = indices_up_to(r);
+  // Leaves resolve against the ring's own propositions, as in every
+  // production compile.
+  const auto registry = symbolic::build_symbolic_ring(r).system->registry();
   const auto suite = ring::section5_specifications();
   std::uint64_t instructions = 0;
   std::uint64_t cse_hits = 0;
   for (auto _ : state) {
-    eval::ProgramCompiler compiler(indices);
+    eval::ProgramCompiler compiler(indices, registry);
     instructions = 0;
     for (const auto& [name, f] : suite) {
       const auto program = compiler.compile(f);
@@ -60,7 +63,8 @@ BENCHMARK(BM_CompileSectionFiveSuite)
 // The warm path every re-check takes: compile() on an already-compiled
 // formula is one hash lookup returning the shared program.
 void BM_CompileCacheHit(benchmark::State& state) {
-  eval::ProgramCompiler compiler(indices_up_to(8));
+  eval::ProgramCompiler compiler(indices_up_to(8),
+                                 symbolic::build_symbolic_ring(8).system->registry());
   const auto suite = ring::section5_specifications();
   for (const auto& [name, f] : suite)
     benchmark::DoNotOptimize(compiler.compile(f));
