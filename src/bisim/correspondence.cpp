@@ -1,7 +1,7 @@
 #include "bisim/correspondence.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 
 #include "bisim/stuttering.hpp"
 #include "obs/obs.hpp"
@@ -16,10 +16,19 @@ using kripke::StateId;
 
 CorrespondenceRelation::CorrespondenceRelation(const kripke::Structure& m1,
                                                const kripke::Structure& m2)
-    : m1_(&m1), m2_(&m2) {
+    : CorrespondenceRelation(
+          m1, m2, std::vector<std::uint32_t>(m1.num_states() * m2.num_states(), kNoDegree),
+          0) {}
+
+CorrespondenceRelation::CorrespondenceRelation(const kripke::Structure& m1,
+                                               const kripke::Structure& m2,
+                                               std::vector<std::uint32_t> degrees,
+                                               std::size_t num_pairs)
+    : m1_(&m1), m2_(&m2), degree_(std::move(degrees)), num_pairs_(num_pairs) {
   support::require<ModelError>(m1.registry() == m2.registry(),
                                "CorrespondenceRelation: structures must share a "
                                "proposition registry");
+  ICTL_ASSERT(degree_.size() == m1.num_states() * m2.num_states());
 }
 
 void CorrespondenceRelation::add(StateId s, StateId s2, std::uint32_t degree) {
@@ -27,29 +36,28 @@ void CorrespondenceRelation::add(StateId s, StateId s2, std::uint32_t degree) {
                                "CorrespondenceRelation::add: state out of range");
   support::require<ModelError>(degree != kNoDegree,
                                "CorrespondenceRelation::add: invalid degree");
-  auto [it, inserted] = min_degree_.try_emplace(key(s, s2), degree);
-  if (!inserted) it->second = std::min(it->second, degree);
+  std::uint32_t& entry = degree_[key(s, s2)];
+  if (entry == kNoDegree) ++num_pairs_;
+  entry = std::min(entry, degree);
 }
 
 bool CorrespondenceRelation::related(StateId s, StateId s2) const {
-  return min_degree_.count(key(s, s2)) > 0;
+  return min_degree(s, s2).has_value();
 }
 
 std::optional<std::uint32_t> CorrespondenceRelation::min_degree(StateId s,
                                                                 StateId s2) const {
-  if (auto it = min_degree_.find(key(s, s2)); it != min_degree_.end())
-    return it->second;
-  return std::nullopt;
+  if (s >= m1_->num_states() || s2 >= m2_->num_states()) return std::nullopt;
+  const std::uint32_t d = degree_[key(s, s2)];
+  if (d == kNoDegree) return std::nullopt;
+  return d;
 }
 
 std::vector<std::tuple<StateId, StateId, std::uint32_t>>
 CorrespondenceRelation::entries() const {
   std::vector<std::tuple<StateId, StateId, std::uint32_t>> out;
-  out.reserve(min_degree_.size());
-  const std::uint64_t n2 = m2_->num_states();
-  for (const auto& [k, deg] : min_degree_)
-    out.emplace_back(static_cast<StateId>(k / n2), static_cast<StateId>(k % n2), deg);
-  std::sort(out.begin(), out.end());
+  out.reserve(num_pairs_);
+  for_each_pair([&](StateId s, StateId s2, std::uint32_t d) { out.emplace_back(s, s2, d); });
   return out;
 }
 
@@ -116,12 +124,10 @@ std::vector<CorrespondenceRelation::Violation> CorrespondenceRelation::validate(
   // Totality for both state spaces.
   {
     std::vector<bool> hit1(m1_->num_states(), false), hit2(m2_->num_states(), false);
-    const std::uint64_t n2 = m2_->num_states();
-    for (const auto& [k, deg] : min_degree_) {
-      static_cast<void>(deg);
-      hit1[static_cast<std::size_t>(k / n2)] = true;
-      hit2[static_cast<std::size_t>(k % n2)] = true;
-    }
+    for_each_pair([&](StateId s, StateId s2, std::uint32_t) {
+      hit1[s] = true;
+      hit2[s2] = true;
+    });
     for (StateId s = 0; s < m1_->num_states(); ++s)
       if (!hit1[s]) report(s, 0, 0, "totality: state of M unrelated to every state of M'");
     for (StateId s2 = 0; s2 < m2_->num_states(); ++s2)
@@ -130,24 +136,15 @@ std::vector<CorrespondenceRelation::Violation> CorrespondenceRelation::validate(
   }
 
   // Clauses 2a/2b/2c for every recorded (minimal-degree) triple.
-  const std::uint64_t n2 = m2_->num_states();
-  for (const auto& [k, degree] : min_degree_) {
-    if (violations.size() >= max_violations) break;
-    const auto s = static_cast<StateId>(k / n2);
-    const auto s2 = static_cast<StateId>(k % n2);
+  for_each_pair([&](StateId s, StateId s2, std::uint32_t degree) {
+    if (violations.size() >= max_violations) return;
     if (!labels_equal(*m1_, s, *m2_, s2))
       report(s, s2, degree, "clause 2a: labels differ");
     if (!clause_2b(s, s2, degree)) report(s, s2, degree, "clause 2b fails");
     if (!clause_2c(s, s2, degree)) report(s, s2, degree, "clause 2c fails");
-  }
+  });
   return violations;
 }
-
-namespace {
-
-constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max() / 4;
-
-}  // namespace
 
 FindResult find_correspondence(const kripke::Structure& m1, const kripke::Structure& m2,
                                FindOptions options) {
@@ -159,165 +156,175 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
   FindResult result;
   const std::size_t n1 = m1.num_states();
   const std::size_t n2 = m2.num_states();
-  const std::uint64_t cap =
-      options.degree_cap != 0 ? options.degree_cap
-                              : static_cast<std::uint64_t>(n1) + n2;
+  // Degrees are 32-bit and kNoDegree marks a dead pair, so the cap stays
+  // below the sentinel: a degree past the cap is exactly a dead pair.
+  const auto cap = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      options.degree_cap != 0 ? options.degree_cap : static_cast<std::uint64_t>(n1) + n2,
+      kNoDegree - 1));
+  auto key = [n2](StateId s, StateId s2) { return static_cast<std::size_t>(s) * n2 + s2; };
 
-  // Candidate pairs: equal labels, optionally same stuttering class.
-  std::vector<std::uint32_t> stutter_class;
-  if (options.use_stuttering_prefilter) {
-    ICTL_PROFILE("bisim", "stuttering_prefilter");
-    const kripke::Structure u = kripke::disjoint_union(m1, m2);
-    const Partition p = stuttering_partition(u);
-    stutter_class.resize(n1 + n2);
-    for (StateId s = 0; s < n1 + n2; ++s) stutter_class[s] = p.block_of(s);
-  }
+  // md[key(s, s2)] = current lower bound on the minimal degree; kNoDegree =
+  // dead.  It becomes the relation's degree table at the end.
+  std::vector<std::uint32_t> md(n1 * n2, kNoDegree);
 
-  // md[s * n2 + s2] = current lower bound on the minimal degree; kInf = dead.
-  std::vector<std::uint64_t> md(n1 * n2, kInf);
-  std::vector<std::uint64_t> candidates;
-  {
-    ICTL_PROFILE("bisim", "candidate_generation");
-    for (StateId s = 0; s < n1; ++s) {
-      for (StateId s2 = 0; s2 < n2; ++s2) {
-        if (options.use_stuttering_prefilter &&
-            stutter_class[s] != stutter_class[n1 + s2])
-          continue;
-        if (!labels_equal(m1, s, m2, s2)) continue;
-        md[static_cast<std::size_t>(s) * n2 + s2] = 0;
-        candidates.push_back(static_cast<std::uint64_t>(s) * n2 + s2);
-      }
-    }
-    ICTL_SPAN_ARG("candidates", candidates.size());
-  }
-  result.candidate_pairs = candidates.size();
-
-  auto md_of = [&](StateId s, StateId s2) -> std::uint64_t {
-    return md[static_cast<std::size_t>(s) * n2 + s2];
+  // Pairs to evaluate in the next sweep, as a bitset over keys.  Dead pairs
+  // are never marked.
+  std::vector<std::uint64_t> dirty((n1 * n2 + 63) / 64, 0);
+  std::size_t num_dirty = 0;
+  auto mark = [&](std::size_t k) {
+    const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+    if (md[k] == kNoDegree || (dirty[k / 64] & bit) != 0) return;
+    dirty[k / 64] |= bit;
+    ++num_dirty;
   };
 
-  // Greatest fixpoint: raise each pair's minimal degree until the Section 3
-  // clauses hold; pairs exceeding the cap die.  Monotone (degrees only
-  // grow), so this terminates.  (A pair-level worklist was tried and lost
-  // to the batched sweep: degrees creep up one unit at a time, so change
-  // propagation re-examines pairs once per unit instead of once per round.)
-  //
   // The inner "does s->t pair with some s'-move" test only depends on which
   // pairs are alive, so it is cached in two pair bitsets and maintained on
   // pair death, turning the per-pair work from O(deg1 * deg2) into
   // O(deg1 + deg2):
   //   joint_b(t, s2) = exists t2 in succ(s2) with (t, t2) alive,
   //   joint_c(s, t2) = exists t  in succ(s)  with (t, t2) alive.
-  const std::size_t num_pairs = n1 * n2;
-  support::DynamicBitset joint_b(num_pairs), joint_c(num_pairs);
-  for (const std::uint64_t k : candidates) {
-    const auto t = static_cast<StateId>(k / n2);
-    const auto t2 = static_cast<StateId>(k % n2);
-    for (const StateId s2 : m2.predecessors(t2))
-      joint_b.set(static_cast<std::size_t>(t) * n2 + s2);
-    for (const StateId s : m1.predecessors(t))
-      joint_c.set(static_cast<std::size_t>(s) * n2 + t2);
+  support::DynamicBitset joint_b(n1 * n2), joint_c(n1 * n2);
+
+  // Candidate pairs: equal labels, optionally same stuttering class.  Every
+  // candidate starts alive at degree 0 and dirty.
+  std::vector<std::uint32_t> stutter_class;
+  if (options.use_stuttering_prefilter) {
+    ICTL_PROFILE("bisim", "stuttering_prefilter");
+    const Partition p = stuttering_partition(m1, m2);
+    stutter_class.resize(n1 + n2);
+    for (StateId s = 0; s < n1 + n2; ++s) stutter_class[s] = p.block_of(s);
   }
+  {
+    ICTL_PROFILE("bisim", "candidate_generation");
+    for (StateId t = 0; t < n1; ++t) {
+      for (StateId t2 = 0; t2 < n2; ++t2) {
+        if (options.use_stuttering_prefilter && stutter_class[t] != stutter_class[n1 + t2])
+          continue;
+        if (!labels_equal(m1, t, m2, t2)) continue;
+        md[key(t, t2)] = 0;
+        mark(key(t, t2));
+        for (const StateId s2 : m2.predecessors(t2)) joint_b.set(key(t, s2));
+        for (const StateId s : m1.predecessors(t)) joint_c.set(key(s, t2));
+      }
+    }
+    ICTL_SPAN_ARG("candidates", num_dirty);
+  }
+  result.candidate_pairs = num_dirty;
+
+  auto plus_one = [](std::uint32_t d) { return d == kNoDegree ? kNoDegree : d + 1; };
+
+  // The pairs that read md(u, v): (u, p2) for p2 in pred(v) through their
+  // s'-moves, and (p, v) for p in pred(u) through their s-moves.
+  auto mark_readers = [&](StateId u, StateId v) {
+    for (const StateId p2 : m2.predecessors(v)) mark(key(u, p2));
+    for (const StateId p : m1.predecessors(u)) mark(key(p, v));
+  };
 
   auto on_death = [&](StateId u, StateId v) {
-    // Recompute the joint flags that listed (u, v) as a witness.
+    // Recompute the joint flags that listed (u, v) as a witness.  A cleared
+    // flag dirties the pairs that read it.
     for (const StateId s2 : m2.predecessors(v)) {
-      const std::size_t jk = static_cast<std::size_t>(u) * n2 + s2;
-      if (!joint_b.test(jk)) continue;
-      bool alive = false;
-      for (const StateId t2 : m2.successors(s2))
-        if (md_of(u, t2) < kInf) {
-          alive = true;
-          break;
-        }
-      if (!alive) joint_b.reset(jk);
+      if (!joint_b.test(key(u, s2))) continue;
+      const auto moves = m2.successors(s2);
+      if (std::any_of(moves.begin(), moves.end(),
+                      [&](StateId t2) { return md[key(u, t2)] != kNoDegree; }))
+        continue;
+      joint_b.reset(key(u, s2));
+      for (const StateId p : m1.predecessors(u)) mark(key(p, s2));
     }
     for (const StateId s : m1.predecessors(u)) {
-      const std::size_t jk = static_cast<std::size_t>(s) * n2 + v;
-      if (!joint_c.test(jk)) continue;
-      bool alive = false;
-      for (const StateId t : m1.successors(s))
-        if (md_of(t, v) < kInf) {
-          alive = true;
-          break;
-        }
-      if (!alive) joint_c.reset(jk);
+      if (!joint_c.test(key(s, v))) continue;
+      const auto moves = m1.successors(s);
+      if (std::any_of(moves.begin(), moves.end(),
+                      [&](StateId t) { return md[key(t, v)] != kNoDegree; }))
+        continue;
+      joint_c.reset(key(s, v));
+      for (const StateId p2 : m2.predecessors(v)) mark(key(s, p2));
     }
   };
 
+  // Raises md(s, s2) to the least degree the Section 3 clauses allow given
+  // the current table.
+  auto evaluate = [&](StateId s, StateId s2) {
+    std::uint32_t& entry = md[key(s, s2)];
+    // Minimal degree satisfying clause 2b:
+    //   min( A + 1, max over s-moves of per-move cost ), where
+    //   A = min over s'-moves t2 of md(s, t2)   (first disjunct), and the
+    //   per-move cost of s->t is 0 when t pairs with some s'-move, else
+    //   md(t, s2) + 1 (t stays against s2, consuming one degree).
+    std::uint32_t stay_b = kNoDegree;  // A + 1
+    for (const StateId t2 : m2.successors(s2))
+      stay_b = std::min(stay_b, plus_one(md[key(s, t2)]));
+    std::uint32_t all_b = 0;
+    for (const StateId t : m1.successors(s))
+      if (!joint_b.test(key(t, s2))) all_b = std::max(all_b, plus_one(md[key(t, s2)]));
+
+    // Mirror for clause 2c.
+    std::uint32_t stay_c = kNoDegree;
+    for (const StateId t : m1.successors(s))
+      stay_c = std::min(stay_c, plus_one(md[key(t, s2)]));
+    std::uint32_t all_c = 0;
+    for (const StateId t2 : m2.successors(s2))
+      if (!joint_c.test(key(s, t2))) all_c = std::max(all_c, plus_one(md[key(s, t2)]));
+
+    const std::uint32_t need =
+        std::max({entry, std::min(stay_b, all_b), std::min(stay_c, all_c)});
+    if (need == entry) return;
+    entry = need > cap ? kNoDegree : need;
+    mark_readers(s, s2);
+    if (entry == kNoDegree) on_death(s, s2);
+  };
+
+  // Least fixpoint of the degrees (greatest for the relation): raise each
+  // pair's degree until the Section 3 clauses hold; pairs past the cap die.
+  // Degrees only grow and every update is monotone, so any fair evaluation
+  // order reaches the same table.
+  //
+  // Each round is the batched sweep over the candidates restricted to the
+  // dirty pairs: those that read a degree or a joint flag (on_death clears
+  // them) that changed since their last evaluation.  The sweep takes keys in
+  // ascending order; a pair marked ahead of it is evaluated in the same
+  // round, one marked at or behind it in the next.  So a pair is evaluated
+  // at most once per round, and only when an input changed.  A pair-level
+  // worklist was tried and lost to the full sweep: degrees creep up one
+  // unit at a time, and a queue re-examines a pair once per unit its inputs
+  // rise.  The dirty sweep keeps the full sweep's batching (marking a pair
+  // again in the same round is free) and drops its waste, re-evaluating
+  // pairs whose inputs did not change.
   {
     ICTL_PROFILE("bisim", "degree_fixpoint");
-    bool changed = true;
-    std::uint64_t scanned = 0;
-    while (changed) {
-      changed = false;
+    [[maybe_unused]] std::uint64_t evaluations = 0;
+    while (num_dirty != 0) {
       ++result.iterations;
       rt::charge_iteration("bisim/degree_fixpoint");
       ICTL_FAILPOINT("bisim/degree_round");
-      for (const std::uint64_t k : candidates) {
-        // Rounds over a large candidate set can be long on their own;
-        // keep the deadline responsive with a batched in-round check.
-        if ((++scanned & 0xfff) == 0) rt::checkpoint("bisim/degree_fixpoint");
-        std::uint64_t& entry = md[k];
-        if (entry >= kInf) continue;
-        const auto s = static_cast<StateId>(k / n2);
-        const auto s2 = static_cast<StateId>(k % n2);
-
-        // Minimal degree satisfying clause 2b:
-        //   min( A + 1, max over s-moves of per-move cost ), where
-        //   A = min over s'-moves t2 of md(s, t2)   (first disjunct), and the
-        //   per-move cost of s->t is 0 when t pairs with some s'-move, else
-        //   md(t, s2) + 1 (t stays against s2, consuming one degree).
-        std::uint64_t stay_b = kInf;  // A + 1
-        for (const StateId t2 : m2.successors(s2))
-          stay_b = std::min(stay_b, md_of(s, t2) >= kInf ? kInf : md_of(s, t2) + 1);
-        std::uint64_t all_b = 0;
-        for (const StateId t : m1.successors(s)) {
-          if (joint_b.test(static_cast<std::size_t>(t) * n2 + s2)) continue;
-          const std::uint64_t cost = md_of(t, s2) >= kInf ? kInf : md_of(t, s2) + 1;
-          all_b = std::max(all_b, cost);
-        }
-        const std::uint64_t need_b = std::min(stay_b, all_b);
-
-        // Mirror for clause 2c.
-        std::uint64_t stay_c = kInf;
-        for (const StateId t : m1.successors(s))
-          stay_c = std::min(stay_c, md_of(t, s2) >= kInf ? kInf : md_of(t, s2) + 1);
-        std::uint64_t all_c = 0;
-        for (const StateId t2 : m2.successors(s2)) {
-          if (joint_c.test(static_cast<std::size_t>(s) * n2 + t2)) continue;
-          const std::uint64_t cost = md_of(s, t2) >= kInf ? kInf : md_of(s, t2) + 1;
-          all_c = std::max(all_c, cost);
-        }
-        const std::uint64_t need_c = std::min(stay_c, all_c);
-
-        const std::uint64_t need = std::max({entry, need_b, need_c});
-        if (need != entry) {
-          entry = need > cap ? kInf : need;
-          if (entry >= kInf) on_death(s, s2);
-          changed = true;
+      for (std::size_t w = 0; w < dirty.size(); ++w) {
+        std::uint64_t ahead = ~std::uint64_t{0};  // bits of word w not yet swept
+        while ((dirty[w] & ahead) != 0) {
+          const int bit = std::countr_zero(dirty[w] & ahead);
+          dirty[w] &= ~(std::uint64_t{1} << bit);
+          ahead = bit == 63 ? 0 : ~std::uint64_t{0} << (bit + 1);
+          --num_dirty;
+          const std::size_t k = w * 64 + static_cast<std::size_t>(bit);
+          // A long round keeps the deadline responsive with a batched check.
+          if ((++evaluations & 0xfff) == 0) rt::checkpoint("bisim/degree_fixpoint");
+          evaluate(static_cast<StateId>(k / n2), static_cast<StateId>(k % n2));
         }
       }
     }
+    ICTL_COUNT_ADD("bisim", "pair_evaluations", evaluations);
+    ICTL_COUNT_ADD("bisim", "degree_rounds", result.iterations);
     ICTL_SPAN_ARG("iterations", result.iterations);
   }
 
-  std::size_t surviving = 0;
-  for (const std::uint64_t k : candidates)
-    if (md[k] < kInf) ++surviving;
+  const auto surviving = static_cast<std::size_t>(
+      std::count_if(md.begin(), md.end(), [](std::uint32_t d) { return d != kNoDegree; }));
   result.surviving_pairs = surviving;
   ICTL_SPAN_ARG("surviving", surviving);
 
-  const std::uint64_t init_md = md_of(m1.initial(), m2.initial());
-  if (init_md >= kInf) return result;  // no correspondence
-
-  CorrespondenceRelation relation(m1, m2);
-  for (const std::uint64_t k : candidates) {
-    if (md[k] >= kInf) continue;
-    relation.add(static_cast<StateId>(k / n2), static_cast<StateId>(k % n2),
-                 static_cast<std::uint32_t>(md[k]));
-  }
-  result.relation = std::move(relation);
+  if (md[key(m1.initial(), m2.initial())] == kNoDegree) return result;  // no correspondence
+  result.relation = CorrespondenceRelation(m1, m2, std::move(md), surviving);
   return result;
 }
 

@@ -31,7 +31,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "kripke/structure.hpp"
@@ -41,6 +41,11 @@ namespace ictl::bisim {
 /// Sentinel for "not related".
 constexpr std::uint32_t kNoDegree = static_cast<std::uint32_t>(-1);
 
+struct FindOptions;
+struct FindResult;
+
+/// A relation with one minimal degree per related pair, stored as a flat
+/// |S| x |S'| table of degrees (kNoDegree = unrelated).
 class CorrespondenceRelation {
  public:
   CorrespondenceRelation(const kripke::Structure& m1, const kripke::Structure& m2);
@@ -55,7 +60,7 @@ class CorrespondenceRelation {
   [[nodiscard]] std::optional<std::uint32_t> min_degree(kripke::StateId s,
                                                         kripke::StateId s2) const;
 
-  [[nodiscard]] std::size_t num_pairs() const noexcept { return min_degree_.size(); }
+  [[nodiscard]] std::size_t num_pairs() const noexcept { return num_pairs_; }
 
   /// All (s, s2, min degree) entries.
   [[nodiscard]] std::vector<std::tuple<kripke::StateId, kripke::StateId, std::uint32_t>>
@@ -79,10 +84,26 @@ class CorrespondenceRelation {
   [[nodiscard]] const kripke::Structure& m2() const noexcept { return *m2_; }
 
  private:
-  friend struct CorrespondenceAccess;
+  friend FindResult find_correspondence(const kripke::Structure& m1,
+                                        const kripke::Structure& m2, FindOptions options);
 
-  [[nodiscard]] std::uint64_t key(kripke::StateId s, kripke::StateId s2) const {
-    return static_cast<std::uint64_t>(s) * m2_->num_states() + s2;
+  /// Adopts a degree table laid out as key() maps pairs, holding
+  /// `num_pairs` related pairs.
+  CorrespondenceRelation(const kripke::Structure& m1, const kripke::Structure& m2,
+                         std::vector<std::uint32_t> degrees, std::size_t num_pairs);
+
+  [[nodiscard]] std::size_t key(kripke::StateId s, kripke::StateId s2) const {
+    return static_cast<std::size_t>(s) * m2_->num_states() + s2;
+  }
+
+  /// Calls fn(s, s2, degree) for every related pair, in (s, s2) order.
+  template <typename Fn>
+  void for_each_pair(Fn&& fn) const {
+    const std::size_t n2 = m2_->num_states();
+    for (std::size_t k = 0; k < degree_.size(); ++k)
+      if (degree_[k] != kNoDegree)
+        fn(static_cast<kripke::StateId>(k / n2), static_cast<kripke::StateId>(k % n2),
+           degree_[k]);
   }
 
   [[nodiscard]] bool clause_2b(kripke::StateId s, kripke::StateId s2,
@@ -92,7 +113,8 @@ class CorrespondenceRelation {
 
   const kripke::Structure* m1_;
   const kripke::Structure* m2_;
-  std::unordered_map<std::uint64_t, std::uint32_t> min_degree_;
+  std::vector<std::uint32_t> degree_;  // degree_[key(s, s2)], kNoDegree = unrelated
+  std::size_t num_pairs_ = 0;
 };
 
 /// True when s (in m1) and s2 (in m2) carry exactly the same propositions.

@@ -1,15 +1,40 @@
 // Partition of a state space with signature-based refinement, the shared
 // machinery of the strong-bisimulation and stuttering-equivalence
-// algorithms.
+// algorithms.  Both intern each round's per-state signatures to dense ids
+// (SignatureInterner) and split blocks through one path, refine(ids).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "kripke/structure.hpp"
 
 namespace ictl::bisim {
+
+/// Dense ids for integer sequences: equal sequences get equal ids, numbered
+/// in order of first insertion.  The sequences sit back to back in one pool
+/// behind an open-addressing table, so interning allocates nothing per
+/// sequence.
+class SignatureInterner {
+ public:
+  std::uint32_t intern(std::span<const std::uint32_t> signature);
+
+  [[nodiscard]] std::span<const std::uint32_t> operator[](std::uint32_t id) const {
+    return std::span<const std::uint32_t>(pool_).subspan(starts_[id],
+                                                         starts_[id + 1] - starts_[id]);
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return starts_.size() - 1; }
+
+ private:
+  void grow();
+
+  std::vector<std::uint32_t> pool_;
+  std::vector<std::uint32_t> starts_{0};  // id -> offset in pool_, plus the end
+  std::vector<std::uint32_t> slots_;      // id + 1 per slot; 0 = empty
+};
 
 class Partition {
  public:
@@ -18,6 +43,12 @@ class Partition {
 
   /// Initial partition grouping states with identical label bitsets.
   [[nodiscard]] static Partition by_labels(const kripke::Structure& m);
+
+  /// The same for the disjoint union of `a` and `b` (the states of `b`
+  /// numbered after those of `a`), read in place.  Labels of different
+  /// widths compare as labels_equal() does.
+  [[nodiscard]] static Partition by_labels(const kripke::Structure& a,
+                                           const kripke::Structure& b);
 
   [[nodiscard]] std::uint32_t block_of(kripke::StateId s) const {
     ICTL_ASSERT(s < block_of_.size());
@@ -35,7 +66,13 @@ class Partition {
   /// with different signatures are separated.
   using Signature = std::vector<std::uint32_t>;
 
-  /// One refinement round; returns true when some block was split.
+  /// One refinement round over interned signatures, one id per state:
+  /// states of one block with different ids are separated.  Blocks are
+  /// renumbered in order of their first state.  Returns true when some
+  /// block was split.
+  bool refine(std::span<const std::uint32_t> signature_ids);
+
+  /// One refinement round; interns `signature_of` and refines by the ids.
   bool refine(const std::function<Signature(kripke::StateId)>& signature_of);
 
   /// Refines until stable.

@@ -1,104 +1,157 @@
 #include "bisim/stuttering.hpp"
 
 #include <algorithm>
+#include <utility>
 
+#include "obs/obs.hpp"
 #include "rt/budget.hpp"
+#include "support/error.hpp"
 
 namespace ictl::bisim {
 namespace {
 
 using kripke::StateId;
 
-/// Per-state exit signature: the set of blocks (other than the state's own)
-/// reachable by an inert run (states staying in the state's block) followed
-/// by a single exiting transition.  Computed by a backward fixpoint within
-/// each block.
-std::vector<Partition::Signature> exit_signatures(const kripke::Structure& m,
-                                                  const Partition& p) {
-  const std::size_t n = m.num_states();
-  std::vector<Partition::Signature> sig(n);
-  // Direct exits.
-  for (StateId s = 0; s < n; ++s) {
-    for (const StateId t : m.successors(s))
-      if (!p.same_block(s, t)) sig[s].push_back(p.block_of(t));
-    std::sort(sig[s].begin(), sig[s].end());
-    sig[s].erase(std::unique(sig[s].begin(), sig[s].end()), sig[s].end());
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+/// One structure, or the disjoint union of two read in place: the states of
+/// `b`, when given, are numbered after those of `a`.
+struct UnionView {
+  const kripke::Structure& a;
+  const kripke::Structure* b;  // nullptr: `a` alone
+
+  [[nodiscard]] std::size_t num_states() const {
+    return a.num_states() + (b != nullptr ? b->num_states() : 0);
   }
-  // Propagate backwards along inert transitions until stable.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    rt::charge_iteration("bisim/stutter_signatures");
-    for (StateId s = 0; s < n; ++s) {
-      for (const StateId t : m.successors(s)) {
-        if (!p.same_block(s, t)) continue;
-        // sig[s] |= sig[t]
-        Partition::Signature merged;
-        std::set_union(sig[s].begin(), sig[s].end(), sig[t].begin(), sig[t].end(),
-                       std::back_inserter(merged));
-        if (merged != sig[s]) {
-          sig[s] = std::move(merged);
-          changed = true;
+
+  /// The successors of `s`: one structure's CSR row, and the shift that
+  /// numbers its targets in the union.
+  [[nodiscard]] std::pair<std::span<const StateId>, StateId> successors(StateId s) const {
+    const auto shift = static_cast<StateId>(a.num_states());
+    if (s < shift) return {a.successors(s), 0};
+    return {b->successors(s - shift), shift};
+  }
+};
+
+/// Interned exit signature of every state under partition `p`: the blocks
+/// other than its own that the state reaches by an inert run (transitions
+/// inside its block) and one exiting transition, plus, when
+/// `divergence_sensitive`, a marker no block id equals if some inert run
+/// goes on forever.  See stuttering.hpp for the one-pass scheme.
+std::vector<std::uint32_t> signature_ids(const UnionView& g, const Partition& p,
+                                         bool divergence_sensitive) {
+  const std::size_t n = g.num_states();
+  const auto marker = static_cast<std::uint32_t>(p.num_blocks());
+  SignatureInterner signatures;
+  std::vector<std::uint32_t> sig_of(n, kNone);  // kNone until the state's component closes
+  std::vector<std::uint32_t> index(n, kNone);
+  std::vector<std::uint32_t> low(n, 0);
+  std::vector<StateId> open;  // Tarjan's stack
+  struct Frame {
+    StateId s;
+    std::uint32_t next;  // next successor to scan
+  };
+  std::vector<Frame> frames;
+  std::vector<std::uint32_t> merged;
+  std::vector<std::uint32_t> merged_into;  // signature id -> last component that merged it
+  std::uint32_t next_index = 0;
+  std::uint32_t components = 0;
+
+  // Pops the component rooted at `root` and gives its members one
+  // signature.  An inert edge to an open state stays inside the component
+  // (an inert cycle); any other inert edge enters a closed component, whose
+  // signature is final.
+  auto close = [&](StateId root) {
+    std::size_t first = open.size();
+    do --first;
+    while (open[first] != root);
+    merged.clear();
+    merged_into.resize(signatures.size(), kNone);
+    bool cycle = false;
+    for (std::size_t k = first; k < open.size(); ++k) {
+      const StateId u = open[k];
+      const auto [targets, shift] = g.successors(u);
+      for (const StateId target : targets) {
+        const StateId t = target + shift;
+        if (!p.same_block(u, t)) {
+          merged.push_back(p.block_of(t));
+        } else if (sig_of[t] == kNone) {
+          cycle = true;
+        } else if (merged_into[sig_of[t]] != components) {
+          merged_into[sig_of[t]] = components;
+          const auto child = signatures[sig_of[t]];
+          merged.insert(merged.end(), child.begin(), child.end());
         }
       }
     }
+    if (cycle && divergence_sensitive) merged.push_back(marker);
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    const std::uint32_t id = signatures.intern(merged);
+    for (std::size_t k = first; k < open.size(); ++k) sig_of[open[k]] = id;
+    open.resize(first);
+    ++components;
+  };
+
+  auto enter = [&](StateId s) {
+    if ((next_index & 0xfff) == 0xfff) rt::checkpoint("bisim/stutter_signatures");
+    index[s] = low[s] = next_index++;
+    open.push_back(s);
+    frames.push_back({s, 0});
+  };
+
+  for (StateId root = 0; root < n; ++root) {
+    if (index[root] != kNone) continue;
+    enter(root);
+    while (!frames.empty()) {
+      const StateId s = frames.back().s;
+      const auto [targets, shift] = g.successors(s);
+      if (frames.back().next < targets.size()) {
+        const StateId t = targets[frames.back().next++] + shift;
+        if (!p.same_block(s, t)) continue;
+        if (index[t] == kNone)
+          enter(t);
+        else if (sig_of[t] == kNone)
+          low[s] = std::min(low[s], index[t]);
+        continue;
+      }
+      frames.pop_back();
+      if (!frames.empty()) low[frames.back().s] = std::min(low[frames.back().s], low[s]);
+      if (low[s] == index[s]) close(s);
+    }
   }
-  return sig;
+  return sig_of;
 }
 
-/// States with an infinite inert run (a path that stays in the state's own
-/// block forever).  With finite state spaces this means: can reach an inert
-/// cycle via inert transitions.
-std::vector<bool> divergent_states(const kripke::Structure& m, const Partition& p) {
-  const std::size_t n = m.num_states();
-  // Greatest fixpoint: D := all states with an inert successor;
-  // D := { s : exists inert t in D } until stable.
-  std::vector<bool> divergent(n, true);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    rt::charge_iteration("bisim/divergence");
-    for (StateId s = 0; s < n; ++s) {
-      if (!divergent[s]) continue;
-      bool has_divergent_inert_succ = false;
-      for (const StateId t : m.successors(s)) {
-        if (p.same_block(s, t) && divergent[t]) {
-          has_divergent_inert_succ = true;
-          break;
-        }
-      }
-      if (!has_divergent_inert_succ) {
-        divergent[s] = false;
-        changed = true;
-      }
-    }
+Partition refine_stuttering(const UnionView& g, Partition p, StutteringOptions options) {
+  [[maybe_unused]] std::uint64_t rounds = 0;
+  bool split = true;
+  while (split) {
+    ++rounds;
+    rt::charge_iteration("bisim/stutter_refine");
+    const std::vector<std::uint32_t> ids = signature_ids(g, p, options.divergence_sensitive);
+    split = p.refine(ids);
   }
-  return divergent;
+  ICTL_COUNT_ADD("bisim", "stutter_rounds", rounds);
+  return p;
 }
 
 }  // namespace
 
 Partition stuttering_partition(const kripke::Structure& m, StutteringOptions options) {
-  Partition p = Partition::by_labels(m);
-  while (true) {
-    rt::charge_iteration("bisim/stutter_refine");
-    const auto sig = exit_signatures(m, p);
-    std::vector<bool> divergent;
-    if (options.divergence_sensitive) divergent = divergent_states(m, p);
-    const bool changed = p.refine([&](StateId s) {
-      Partition::Signature full = sig[s];
-      if (options.divergence_sensitive && divergent[s])
-        full.push_back(static_cast<std::uint32_t>(p.num_blocks()));  // divergence marker
-      return full;
-    });
-    if (!changed) return p;
-  }
+  return refine_stuttering(UnionView{m, nullptr}, Partition::by_labels(m), options);
+}
+
+Partition stuttering_partition(const kripke::Structure& a, const kripke::Structure& b,
+                               StutteringOptions options) {
+  support::require<ModelError>(a.registry() == b.registry(),
+                               "stuttering_partition: structures must share a registry");
+  return refine_stuttering(UnionView{a, &b}, Partition::by_labels(a, b), options);
 }
 
 bool stuttering_equivalent(const kripke::Structure& a, const kripke::Structure& b,
                            StutteringOptions options) {
-  const kripke::Structure u = kripke::disjoint_union(a, b);
-  const Partition p = stuttering_partition(u, options);
+  const Partition p = stuttering_partition(a, b, options);
   const kripke::StateId b_initial =
       static_cast<kripke::StateId>(a.num_states()) + b.initial();
   return p.same_block(a.initial(), b_initial);

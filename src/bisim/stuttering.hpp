@@ -13,6 +13,19 @@
 // With `divergence_sensitive`, states that can stutter forever inside their
 // own class are separated from states that cannot, which is the right notion
 // when matching must eventually make joint progress.
+//
+// Each refinement round computes every state's exit signature (the classes
+// it reaches by an inert run, i.e. transitions inside its class, followed by
+// one exiting transition) and its divergence in one iterative Tarjan pass
+// over the inert subgraph.  Components close sinks-first, so when one
+// closes, every component it reaches is final: its signature is the union
+// of its members' exits and those components' signatures, and it diverges
+// when it holds an inert cycle or reaches a diverging component.  The
+// signatures are interned and split the classes through Partition::refine.
+// A round costs O(states + transitions) plus the signature merges, and
+// charges one rt iteration (`bisim/stutter_refine`); the pass itself
+// checkpoints every 4096 states (`bisim/stutter_signatures`).  The rounds
+// are counted in the obs registry as `bisim/stutter_rounds`.
 #pragma once
 
 #include "bisim/partition.hpp"
@@ -30,8 +43,16 @@ struct StutteringOptions {
 [[nodiscard]] Partition stuttering_partition(const kripke::Structure& m,
                                              StutteringOptions options = {});
 
+/// The same partition for the disjoint union of `a` and `b` (the states of
+/// `b` numbered after those of `a`), computed without building the union.
+/// The structures must share a registry; labels of different widths compare
+/// as labels_equal() does.
+[[nodiscard]] Partition stuttering_partition(const kripke::Structure& a,
+                                             const kripke::Structure& b,
+                                             StutteringOptions options = {});
+
 /// True when the initial states of `a` and `b` are stuttering-equivalent
-/// (computed on the disjoint union; the structures must share a registry).
+/// (computed on their disjoint union; the structures must share a registry).
 [[nodiscard]] bool stuttering_equivalent(const kripke::Structure& a,
                                          const kripke::Structure& b,
                                          StutteringOptions options = {});

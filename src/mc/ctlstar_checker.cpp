@@ -114,7 +114,8 @@ FormulaPtr Checker::abstract_state_subformulas(const FormulaPtr& g) {
     if (g->kind() == Kind::kTrue || g->kind() == Kind::kFalse) return g;
     if (auto it = placeholder_of_.find(g->id()); it != placeholder_of_.end())
       return it->second;
-    const std::string name = "@" + std::to_string(next_placeholder_++);
+    std::string name = "@";
+    name += std::to_string(next_placeholder_++);
     FormulaPtr ph = logic::atom(name);
     placeholder_of_.emplace(g->id(), ph);
     placeholder_target_.emplace(name, g);

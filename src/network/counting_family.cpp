@@ -22,7 +22,8 @@ FormulaPtr at_least_k_processes(std::size_t k) {
   FormulaPtr body = logic::f_true();
   // Build inside-out: phi_0 = true, phi_j = \/i (a[i] & EF(b[i] & phi_{j-1})).
   for (std::size_t j = k; j >= 1; --j) {
-    const std::string var = "i" + std::to_string(j);
+    std::string var = "i";
+    var += std::to_string(j);
     body = logic::exists_index(
         var, logic::make_and(logic::iatom("a", var),
                              logic::EF(logic::make_and(logic::iatom("b", var), body))));
@@ -37,7 +38,8 @@ std::vector<FormulaPtr> depth_k_formula_family(std::size_t depth) {
 
   std::vector<FormulaPtr> inner = depth_k_formula_family(depth - 1);
   std::vector<FormulaPtr> out;
-  const std::string var = "v" + std::to_string(depth);
+  std::string var = "v";
+  var += std::to_string(depth);
   const FormulaPtr a = iatom("a", var);
   const FormulaPtr b = iatom("b", var);
   for (const FormulaPtr& body : inner) {

@@ -43,6 +43,11 @@ namespace ictl::ring {
 /// The corrected base case: the smallest ring equivalent to all larger ones.
 constexpr std::uint32_t kRingBaseSize = 3;
 
+/// The largest size r for which the test suite certifies M_3 ~ M_r
+/// explicitly, every IN pair through find_correspondence
+/// (EndToEnd.CertificatesAreCrossValidatedExplicitly).
+constexpr std::uint32_t kLargestCheckedRingSize = 10;
+
 /// The discrepancy witness: a closed formula of the *restricted* logic,
 ///   \/i EF(d_i & !E[d_i U (c_i & E[c_i U (n_i & t_i)])]),
 /// i.e. "some process can be delayed in a situation where receiving the
@@ -78,9 +83,9 @@ class ExplicitRingCorrespondence {
 
 /// Theorem 5 certificate for M_3 ~ M_r for ANY r >= 3, without constructing
 /// M_r.  Basis: the generic decision procedure certifies every IN pair of
-/// M_3 ~ M_r explicitly for all r up to the validation threshold (tests and
+/// M_3 ~ M_r explicitly for all r up to kLargestCheckedRingSize (tests and
 /// bench_ring_certificate) and the symbolic prover discharges the Section 5
-/// invariants for every size; beyond the threshold the certificate
+/// invariants for every size; beyond that size the certificate
 /// extrapolates, exactly as the paper's Appendix argument does.  Initial
 /// degrees are 0: the all-neutral initial states match exactly.
 [[nodiscard]] bisim::Theorem5Certificate analytic_ring_certificate(std::uint32_t r);

@@ -33,7 +33,7 @@ TEST(EndToEnd, CertificatesAreCrossValidatedExplicitly) {
   // explicit certificates on every size we can build quickly.
   auto reg = kripke::make_registry();
   const auto m3 = testing::ring_of(3, reg);
-  for (std::uint32_t r = 4; r <= 8; ++r) {
+  for (std::uint32_t r = 4; r <= ring::kLargestCheckedRingSize; ++r) {
     const auto mr = testing::ring_of(r, reg);
     const auto cert = ring::explicit_ring_certificate(m3, mr);
     ASSERT_TRUE(cert.valid) << r;
@@ -85,7 +85,7 @@ TEST(EndToEnd, ReducedCheckingAgreesWithDirectChecking) {
   // checking directly on M_r.
   core::RingMutexFamily family;
   const auto base = family.instance(3);
-  for (std::uint32_t r = 4; r <= 8; ++r) {
+  for (std::uint32_t r = 4; r <= ring::kLargestCheckedRingSize; ++r) {
     const auto direct = family.instance(r);
     for (const auto& [name, f] : ring::section5_specifications()) {
       EXPECT_EQ(mc::holds(base, f), mc::holds(direct, f)) << name << " r=" << r;

@@ -116,9 +116,13 @@ class TableauSizeSweep : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(TableauSizeSweep, UntilChainGrowsBoundedly) {
   // phi_n = p1 U (p2 U (... U pn)): n-1 acceptance sets, finite automaton.
   const std::size_t n = GetParam();
-  logic::FormulaPtr f = logic::atom("p" + std::to_string(n));
-  for (std::size_t i = n - 1; i >= 1; --i)
-    f = logic::make_until(logic::atom("p" + std::to_string(i)), f);
+  const auto p = [](std::size_t i) {
+    std::string name = "p";
+    name += std::to_string(i);
+    return logic::atom(name);
+  };
+  logic::FormulaPtr f = p(n);
+  for (std::size_t i = n - 1; i >= 1; --i) f = logic::make_until(p(i), f);
   const Gba gba = build_gba(logic::to_nnf(logic::desugar(f)));
   EXPECT_EQ(gba.accepting_sets.size(), n - 1);
   EXPECT_GT(gba.nodes.size(), 0u);

@@ -232,6 +232,29 @@ TEST(BudgetTrip, CorrespondenceIterationCapTripsAndRetries) {
   const bisim::FindResult again = bisim::find_correspondence(m1, m2);
   EXPECT_EQ(again.relation.has_value(), want.relation.has_value());
   EXPECT_EQ(again.surviving_pairs, want.surviving_pairs);
+  ASSERT_TRUE(want.relation.has_value());
+  ASSERT_TRUE(again.relation.has_value());
+  EXPECT_EQ(again.relation->entries(), want.relation->entries());
+}
+
+TEST(BudgetTrip, CorrespondenceFailpointMidFixpointRetries) {
+  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  // A ring IN pair: degrees creep up over several rounds of the fixpoint.
+  auto reg = kripke::make_registry();
+  const auto m1 = kripke::reduce_to_index(testing::ring_of(3, reg).structure(), 2);
+  const auto m2 = kripke::reduce_to_index(testing::ring_of(5, reg).structure(), 2);
+  const bisim::FindResult want = bisim::find_correspondence(m1, m2);
+  ASSERT_TRUE(want.relation.has_value());
+  ASSERT_GE(want.iterations, 3u);
+
+  arm_failpoint("bisim/degree_round", want.iterations / 2);
+  EXPECT_THROW(static_cast<void>(bisim::find_correspondence(m1, m2)), Interrupted);
+  EXPECT_EQ(armed_failpoints(), 0u);
+  const bisim::FindResult again = bisim::find_correspondence(m1, m2);
+  ASSERT_TRUE(again.relation.has_value());
+  EXPECT_EQ(again.surviving_pairs, want.surviving_pairs);
+  EXPECT_EQ(again.iterations, want.iterations);
+  EXPECT_EQ(again.relation->entries(), want.relation->entries());
 }
 
 TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
