@@ -84,8 +84,8 @@ void BM_SymbolicReachable(benchmark::State& state) {
   const RegistryDelta sweeps("sym", "saturation_sweeps");
   const RegistryDelta posts("sym", "post_images");
   for (auto _ : state) {
-    // Build + chained-saturation least fixpoint + count: the whole "how
-    // many states" pipeline.
+    // Build + saturation least fixpoint + count: the whole "how many
+    // states" pipeline, which the relation build now dominates.
     const auto ring = symbolic::build_symbolic_ring(r);
     benchmark::DoNotOptimize(ring.system->num_reachable());
     last = ring.system;

@@ -156,7 +156,7 @@ BddManager::BddManager(std::uint32_t num_vars, std::uint32_t cache_log2)
   std::iota(var2level_.begin(), var2level_.end(), 0u);
   std::iota(level2var_.begin(), level2var_.end(), 0u);
   var_live_count_.assign(num_vars_, 0);
-  cache_.assign(std::size_t{1} << cache_log2, CacheEntry{});
+  cache_log2_ = cache_log2;
   cache_set_mask_ = (std::uint32_t{1} << (cache_log2 - 1)) - 1;
 }
 
@@ -306,6 +306,68 @@ Bdd BddManager::make_node(std::uint32_t v, Bdd low, Bdd high) {
   return mk(v, low, high);
 }
 
+void BddManager::make_nodes(const std::vector<std::array<std::uint32_t, 3>>& records,
+                            std::vector<Bdd>& handles) {
+  // Everything that allocates runs first — each variable's subtable sized
+  // for its records, the node arrays for all of them — so the fill below
+  // cannot fail halfway: it is mk's lookup-or-insert writing through raw
+  // pointers instead of five appends and a growth check per node.
+  std::vector<std::size_t> per_var(num_vars_, 0);
+  for (const auto& record : records) {
+    ICTL_ASSERT(record[0] < num_vars_);
+    ++per_var[record[0]];
+  }
+  for (std::uint32_t v = 0; v < num_vars_; ++v) {
+    SubTable& t = subtables_[v];
+    std::size_t buckets = t.buckets.size();
+    while (buckets < t.count + per_var[v]) buckets *= 2;
+    if (buckets != t.buckets.size()) rehash_subtable(t, buckets);
+  }
+  const std::size_t first = nodes_.size();
+  const std::size_t size = first + records.size();
+  handles.reserve(handles.size() + records.size());
+  nodes_.reserve(size);
+  ref_.reserve(size);
+  ext_ref_.reserve(size);
+  retired_.reserve(size);
+  queued_dead_.reserve(size);
+  nodes_.resize(size);
+  Node* const nodes = nodes_.data();
+  std::size_t next = first;
+  for (const auto& [v, low_at, high_at] : records) {
+    ICTL_ASSERT(low_at < handles.size() && high_at < handles.size());
+    const Bdd low = handles[low_at];
+    const Bdd high = handles[high_at];
+    ICTL_ASSERT(low < next && high < next);
+    if (low == high) {  // reduction rule
+      handles.push_back(low);
+      continue;
+    }
+    ICTL_ASSERT(var2level_[v] < level(low) && var2level_[v] < level(high));
+    SubTable& t = subtables_[v];
+    Bdd& head = t.buckets[pair_hash(low, high) & (t.buckets.size() - 1)];
+    Bdd id = head;
+    while (id != kNoNode && (nodes[id].low != low || nodes[id].high != high))
+      id = nodes[id].next;
+    if (id == kNoNode) {
+      ++stats_.unique_misses;
+      id = static_cast<Bdd>(next++);
+      nodes[id] = {v, low, high, head};
+      head = id;
+      ++t.count;
+    } else {
+      ++stats_.unique_hits;
+    }
+    handles.push_back(id);
+  }
+  nodes_.resize(next);
+  ref_.resize(next, 0);  // born dead, as in mk
+  ext_ref_.resize(next, 0);
+  retired_.resize(next, 0);
+  queued_dead_.resize(next, 0);
+  note_growth();
+}
+
 Bdd BddManager::mk(std::uint32_t v, Bdd low, Bdd high) {
   if (low == high) return low;  // reduction rule
   ICTL_ASSERT(v < num_vars_);
@@ -329,6 +391,11 @@ Bdd BddManager::mk(std::uint32_t v, Bdd low, Bdd high) {
   queued_dead_.push_back(0);
   t.buckets[slot] = id;
   if (++t.count > t.buckets.size()) grow_subtable(t);
+  note_growth();
+  return id;
+}
+
+void BddManager::note_growth() {
   if (nodes_.size() > stats_.peak_nodes) stats_.peak_nodes = nodes_.size();
   // Only FLAG maintenance here — mk() runs deep inside the operator
   // recursions, where reordering or a sweep would corrupt in-flight
@@ -342,7 +409,6 @@ Bdd BddManager::mk(std::uint32_t v, Bdd low, Bdd high) {
       nodes_.size() - nodes_at_last_collect_ >
           live_nodes_ - queued_dead_count_ + gc_slack_)
     gc_pending_ = true;
-  return id;
 }
 
 void BddManager::insert_unique(std::uint32_t v, Bdd id) {
@@ -569,6 +635,7 @@ void BddManager::publish_stats(obs::Registry& registry) const {
 
 BddRef BddManager::ite(Bdd f, Bdd g, Bdd h) {
   ICTL_ASSERT(f < nodes_.size() && g < nodes_.size() && h < nodes_.size());
+  ensure_cache();
   // Root the result BEFORE any deferred reorder/sweep runs: un-rooted, it
   // would be exactly the kind of garbage those passes retire.
   BddRef result(*this, ite_rec(f, g, h));
@@ -621,6 +688,7 @@ BddRef BddManager::cube(const std::vector<std::uint32_t>& vars) {
 
 BddRef BddManager::exists(Bdd f, Bdd cube) {
   ICTL_ASSERT(f < nodes_.size() && cube < nodes_.size());
+  ensure_cache();
   BddRef result(*this, exists_rec(f, cube));
   run_deferred_maintenance();
   return result;
@@ -657,6 +725,7 @@ Bdd BddManager::exists_rec(Bdd f, Bdd cube) {
 
 BddRef BddManager::and_exists(Bdd f, Bdd g, Bdd cube) {
   ICTL_ASSERT(f < nodes_.size() && g < nodes_.size() && cube < nodes_.size());
+  ensure_cache();
   BddRef result(*this, and_exists_rec(f, g, cube));
   run_deferred_maintenance();
   return result;
@@ -1096,10 +1165,17 @@ std::size_t BddManager::dag_size(const std::vector<Bdd>& roots) const {
 }
 
 std::vector<std::uint32_t> BddManager::support_vars(Bdd f) const {
-  ICTL_ASSERT(f < nodes_.size());
+  return support_vars(std::vector<Bdd>{f});
+}
+
+std::vector<std::uint32_t> BddManager::support_vars(const std::vector<Bdd>& roots) const {
   std::vector<bool> seen(nodes_.size(), false);
   std::vector<bool> in_support(num_vars_, false);
-  std::vector<Bdd> stack{f};
+  std::vector<Bdd> stack;
+  for (const Bdd root : roots) {
+    ICTL_ASSERT(root < nodes_.size());
+    stack.push_back(root);
+  }
   while (!stack.empty()) {
     const Bdd x = stack.back();
     stack.pop_back();

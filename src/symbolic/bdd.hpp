@@ -49,6 +49,7 @@
 // stream and reloads them into a fresh manager.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -138,6 +139,15 @@ class BddManager {
   /// (which defers garbage collection and reordering) and root the final
   /// chain head in a BddRef before the scope exits.
   [[nodiscard]] Bdd make_node(std::uint32_t v, Bdd low, Bdd high);
+
+  /// make_node over a children-first list of records (a store reload).
+  /// Record i is {variable, low, high}, each child an index into `handles`:
+  /// a handle already there (the two terminals, say) or an earlier
+  /// record's, since record i's node is appended to `handles`.  The same
+  /// nodes, handles and checks as one make_node call per record, with every
+  /// table sized once up front instead of grown node by node.
+  void make_nodes(const std::vector<std::array<std::uint32_t, 3>>& records,
+                  std::vector<Bdd>& handles);
 
   // ---- Boolean operators (all reduce to ITE) -------------------------------
   [[nodiscard]] BddRef ite(Bdd f, Bdd g, Bdd h);
@@ -231,8 +241,10 @@ class BddManager {
   [[nodiscard]] std::size_t dag_size(Bdd f) const;
   [[nodiscard]] std::size_t dag_size(const std::vector<Bdd>& roots) const;
 
-  /// Variables occurring in f, ascending by variable index.
+  /// Variables occurring in f, ascending by variable index; the multi-root
+  /// overload returns the union over one walk of the shared DAG.
   [[nodiscard]] std::vector<std::uint32_t> support_vars(Bdd f) const;
+  [[nodiscard]] std::vector<std::uint32_t> support_vars(const std::vector<Bdd>& roots) const;
 
   /// Total nodes ever created (terminals included; dead nodes linger).
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }
@@ -413,6 +425,9 @@ class BddManager {
 
   /// Hash-consing constructor: the unique node (var, low, high), reduced.
   Bdd mk(std::uint32_t var, Bdd low, Bdd high);
+  /// mk's bookkeeping after the node table grew: peak, and the pending
+  /// reorder and GC flags.
+  void note_growth();
 
   void insert_unique(std::uint32_t var, Bdd id);
   void grow_subtable(SubTable& table);
@@ -515,7 +530,15 @@ class BddManager {
   std::vector<std::size_t> var_live_count_;  // live nodes labeled each var
   std::size_t live_nodes_ = 0;
 
-  std::vector<CacheEntry> cache_;
+  /// Allocates the computed table on the first operation that consults
+  /// it: a manager that only loads or builds nodes through make_node (a
+  /// store reload) never pays for faulting in 2^cache_log2 entries.
+  void ensure_cache() {
+    if (cache_.empty()) cache_.assign(std::size_t{1} << cache_log2_, CacheEntry{});
+  }
+
+  std::vector<CacheEntry> cache_;  // empty until ensure_cache()
+  std::uint32_t cache_log2_;
   std::uint32_t cache_set_mask_;
   std::uint32_t cache_epoch_ = 1;
   std::uint32_t cache_tick_ = 0;

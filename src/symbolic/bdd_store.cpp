@@ -63,6 +63,12 @@ class Writer {
   std::uint64_t fnv_ = kFnvOffset;
 };
 
+/// The little-endian u32 at `b`.
+std::uint32_t le32(const unsigned char* b) {
+  return static_cast<std::uint32_t>(b[0]) | static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 | static_cast<std::uint32_t>(b[3]) << 24;
+}
+
 /// Mirror of Writer: every read is length-checked (truncation is Error, not
 /// garbage) and folded into the same checksum.
 class Reader {
@@ -80,9 +86,7 @@ class Reader {
   std::uint32_t u32() {
     unsigned char b[4];
     bytes(b, 4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return v;
+    return le32(b);
   }
   std::uint64_t u64() {
     unsigned char b[8];
@@ -228,33 +232,45 @@ LoadedBdds load_bdds(std::istream& in) {
   BddManager& mgr = *result.manager;
   mgr.set_initial_order(level2var);  // throws Error on a non-permutation
 
-  // Rebuild through the public hash-consing constructor, children first, so
-  // the loaded store is reduced and canonical by construction.  The scope
-  // keeps the not-yet-rooted chain alive; the roots are BddRef'd below,
-  // before it exits.
-  const auto scope = mgr.protect_scope();
-  const auto level_of = [&](Bdd f) {
-    return BddManager::is_terminal(f) ? 0xffffffffu
-                                      : mgr.level_of_var(mgr.node_var(f));
-  };
-  std::vector<Bdd> handle(2 + num_nodes);
-  handle[0] = kBddFalse;
-  handle[1] = kBddTrue;
-  for (std::uint64_t i = 0; i < num_nodes; ++i) {
-    const std::uint32_t var = r.u32();
-    const std::uint32_t low = r.u32();
-    const std::uint32_t high = r.u32();
-    support::require<Error>(var < num_vars, "load_bdds: node variable out of range");
-    support::require<Error>(low < 2 + i && high < 2 + i,
-                            "load_bdds: node references a later node");
-    support::require<Error>(low != high, "load_bdds: unreduced node record");
-    const Bdd lo = handle[low];
-    const Bdd hi = handle[high];
-    support::require<Error>(
-        mgr.level_of_var(var) < level_of(lo) && mgr.level_of_var(var) < level_of(hi),
-        "load_bdds: node record violates the variable order");
-    handle[2 + i] = mgr.make_node(var, lo, hi);
+  // Every record is read and checked before any node is built, so the
+  // manager can size its tables once (make_nodes) instead of growing them
+  // record by record.  Records arrive in chunks: one stream read and one
+  // checksum pass per chunk instead of three per record.
+  std::vector<std::uint32_t> var_level(num_vars);
+  for (std::uint32_t l = 0; l < num_vars; ++l) var_level[level2var[l]] = l;
+  // The level of each file id, terminals below every variable.
+  std::vector<std::uint32_t> level(2 + num_nodes, 0xffffffffu);
+  std::vector<std::array<std::uint32_t, 3>> records;
+  constexpr std::uint64_t kChunk = 4096;
+  std::vector<unsigned char> chunk(12 * std::min(num_nodes, kChunk));
+  for (std::uint64_t first = 0; first < num_nodes; first += kChunk) {
+    const std::uint64_t count = std::min(kChunk, num_nodes - first);
+    r.bytes(chunk.data(), 12 * count);
+    for (std::uint64_t j = 0; j < count; ++j) {
+      const std::uint64_t id = 2 + first + j;
+      const unsigned char* rec = chunk.data() + 12 * j;
+      const std::uint32_t var = le32(rec);
+      const std::uint32_t low = le32(rec + 4);
+      const std::uint32_t high = le32(rec + 8);
+      // Plain ifs: the message is built only on the failure path, which
+      // matters per record in unoptimized builds.
+      if (var >= num_vars) throw Error("load_bdds: node variable out of range");
+      if (low >= id || high >= id) throw Error("load_bdds: node references a later node");
+      if (low == high) throw Error("load_bdds: unreduced node record");
+      level[id] = var_level[var];
+      if (level[id] >= level[low] || level[id] >= level[high])
+        throw Error("load_bdds: node record violates the variable order");
+      records.push_back({var, low, high});
+    }
   }
+
+  // Rebuild through the public hash-consing constructor, children first, so
+  // the loaded store is reduced and canonical by construction; file id i
+  // becomes handle[i].  The scope keeps the not-yet-rooted nodes alive; the
+  // roots are BddRef'd below, before it exits.
+  const auto scope = mgr.protect_scope();
+  std::vector<Bdd> handle = {kBddFalse, kBddTrue};
+  mgr.make_nodes(records, handle);
   result.roots.reserve(num_roots);
   for (std::uint32_t k = 0; k < num_roots; ++k) {
     const std::uint32_t name_len = r.u32();
@@ -350,19 +366,30 @@ TransitionSystem load_transition_system(std::istream& in,
 
   const LoadedBdds blobs = load_bdds(in);
 
+  // save_transition_system writes the roots in this order; look each name
+  // up at its expected position first, so the hundreds of prop roots of a
+  // large ring do not each scan the whole root list.
+  std::size_t next_root = 0;
+  const auto root = [&](const std::string& name) {
+    const std::size_t at = next_root++;
+    if (at < blobs.roots.size() && blobs.roots[at].first == name)
+      return blobs.roots[at].second.get();
+    return blobs.root(name);
+  };
+  const Bdd initial = root("initial");
   std::vector<Bdd> partition(num_parts);
   for (std::uint32_t k = 0; k < num_parts; ++k)
-    partition[k] = blobs.root("part/" + std::to_string(k));
+    partition[k] = root("part/" + std::to_string(k));
   std::vector<std::pair<kripke::PropId, Bdd>> props;
   props.reserve(num_props);
   for (std::uint32_t k = 0; k < num_props; ++k)
-    props.emplace_back(prop_ids[k], blobs.root("prop/" + std::to_string(k)));
+    props.emplace_back(prop_ids[k], root("prop/" + std::to_string(k)));
 
   // blobs' BddRefs keep every root live until the constructor roots its own.
-  TransitionSystem system(blobs.manager, num_state_vars, blobs.root("initial"),
-                          std::move(partition), kind, std::move(registry),
-                          std::move(props), std::move(indices));
-  if (reach_tag == 1) system.adopt_reachable(blobs.root("reach"));
+  TransitionSystem system(blobs.manager, num_state_vars, initial, std::move(partition),
+                          kind, std::move(registry), std::move(props),
+                          std::move(indices));
+  if (reach_tag == 1) system.adopt_reachable(root("reach"));
 #ifdef ICTL_AUDIT
   // The constructor audited the raw system; re-audit with the adopted
   // fixpoint so a saved non-fixpoint can never be reloaded silently.

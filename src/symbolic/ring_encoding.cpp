@@ -166,11 +166,9 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   // the closest delayed process to j's left; i enters its critical section,
   // j goes neutral.  Per (j, i) pair the guard is h_j & d_i & (no delayed
   // strictly between i and j, walking left from j); per-holder relations
-  // are OR-ed into clusters rather than one monolithic relation.
-  const std::uint32_t cluster_width =
-      options.holders_per_cluster != 0
-          ? options.holders_per_cluster
-          : std::max<std::uint32_t>(1, (r + 15) / 16);
+  // are OR-ed into clusters of ceil(r / 16) holders — at most 16 rule-2
+  // parts however large the ring.
+  const std::uint32_t cluster_width = (r + 15) / 16;
   std::vector<Bdd> holder_relations(r + 1, kBddFalse);
 
   const bool canonical_order = [&] {

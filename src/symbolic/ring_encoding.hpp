@@ -18,8 +18,8 @@
 // relation (see TransitionSystem): each rule instance is a constraint
 // chain built directly through BddManager::make_node — one pass over the
 // variable order, no ITE recursion — and the rule-2 instances are OR-ed
-// into per-holder clusters (options.holders_per_cluster wide) instead of
-// one monolithic T.  Labels: d_i = d_i; n_i = neutral or holder-in-T;
+// into clusters of ceil(r / 16) consecutive holders instead of one
+// monolithic T.  Labels: d_i = d_i; n_i = neutral or holder-in-T;
 // t_i = h_i; c_i = h_i & c; Theta t = exactly-one h.
 #pragma once
 
@@ -40,12 +40,6 @@ namespace ictl::symbolic {
 constexpr std::uint32_t kMaxSymbolicRingSize = 256;
 
 struct SymbolicRingOptions {
-  /// Rule-2 instances are clustered by holder: this many holders' rules
-  /// are OR-ed into one partition.  0 picks ceil(r / 16) — at most 16
-  /// rule-2 partitions however large the ring.  1 gives one partition per
-  /// holder (maximal chaining granularity); r collapses rule 2 into a
-  /// single partition.
-  std::uint32_t holders_per_cluster = 0;
   /// Turn on sifting (BddManager::enable_dynamic_reordering, pair-grouped)
   /// before the relation is built.  The interleaved default order is
   /// already near-optimal for the ring, so this mainly serves the

@@ -1,7 +1,9 @@
 #include "symbolic/transition_system.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
@@ -146,10 +148,10 @@ BddRef TransitionSystem::pre_image(Bdd states) const {
   if (kind_ == PartitionKind::kDisjunctive) {
     // One relational product against the combined relation.  Disjunctive
     // images distribute over the parts, but for this family the combined
-    // BDD is small (the parts exist to make BUILDING it cheap and to
-    // chain reachability), and EX-heavy CTL fixpoints measured ~5x faster
-    // on one and_exists than on a per-part product-and-OR loop — so the
-    // single-step images use the lazy combine.
+    // BDD is small (the parts exist to make BUILDING it cheap and to split
+    // reachability into events), and EX-heavy CTL fixpoints measured ~5x
+    // faster on one and_exists than on a per-part product-and-OR loop — so
+    // the single-step images use the lazy combine.
     return mgr_->and_exists(transitions(), primed_states, primed_cube_);
   }
   // Conjunctive: fold the parts through the relational product, retiring
@@ -180,39 +182,246 @@ BddRef TransitionSystem::post_image(Bdd states) const {
   return mgr_->rename(acc, to_unprimed_);
 }
 
-Bdd TransitionSystem::reachable() const {
-  if (reachable_.has_value()) return reachable_->get();
-  ICTL_PROFILE_ARG("sym", "reach_fixpoint", "parts", parts_.size());
-  BddRef reach = initial_;
-  if (kind_ == PartitionKind::kDisjunctive && parts_.size() > 1) {
-    // Chained saturation sweeps: each part is applied to ITS OWN fixpoint
-    // before the next part fires (Ravi–Somenzi chaining pushed to
-    // saturation).  Rule-wise saturation keeps the intermediate sets far
-    // more symmetric — and so far smaller as BDDs — than synchronous
-    // breadth-first rounds: the ring's rule-1 closure, for instance, fills
-    // in every delayed-mask combination as one compact product before any
-    // token movement is explored.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      ICTL_PROFILE("sym", "saturation_sweep");
-      ICTL_COUNT("sym", "saturation_sweeps");
-      ICTL_FAILPOINT("sym/saturation_sweep");
-      for (const BddRef& part : parts_) {
-        while (true) {
-          // Per-application checkpoint: reach is the only accumulating
-          // root, so a trip mid-saturation unwinds to a reusable manager
-          // (and reachable_ stays unset — a retry recomputes from scratch).
-          rt::charge_iteration("sym/saturation");
-          const BddRef img = mgr_->rename(
-              mgr_->and_exists(part, reach, unprimed_cube_), to_unprimed_);
-          BddRef next = mgr_->bdd_or(reach, img);
-          if (next.get() == reach.get()) break;
-          reach = std::move(next);
-          changed = true;
+namespace {
+
+/// The state variables in current level order, top first: one saturation
+/// level per (x, x') pair.  Empty when some pair is separated by another
+/// state variable's BDD variable — saturation cofactors a relation one
+/// pair at a time.
+std::vector<std::uint32_t> pair_levels(const BddManager& mgr, std::uint32_t n) {
+  std::vector<std::uint32_t> bdd_vars(2 * n);
+  for (std::uint32_t v = 0; v < 2 * n; ++v) bdd_vars[v] = v;
+  std::sort(bdd_vars.begin(), bdd_vars.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return mgr.level_of_var(a) < mgr.level_of_var(b);
+  });
+  std::vector<std::uint32_t> levels;
+  levels.reserve(n);
+  for (std::uint32_t i = 0; i < 2 * n; i += 2) {
+    if (bdd_vars[i] % 2 != 0 || bdd_vars[i + 1] != bdd_vars[i] + 1) return {};
+    levels.push_back(bdd_vars[i] / 2);
+  }
+  return levels;
+}
+
+/// f's cofactors on BDD variable `var`, which must not lie below f's top.
+std::array<Bdd, 2> cofactors(const BddManager& mgr, Bdd f, std::uint32_t var) {
+  if (BddManager::is_terminal(f) || mgr.node_var(f) != var) return {f, f};
+  return {mgr.node_low(f), mgr.node_high(f)};
+}
+
+/// A relation's cofactors r[x][x'] on state variable v's pair.
+using PairCofactors = std::array<std::array<Bdd, 2>, 2>;
+PairCofactors pair_cofactors(const BddManager& mgr, Bdd r, std::uint32_t v) {
+  const auto [r0, r1] = cofactors(mgr, r, TransitionSystem::unprimed(v));
+  return {cofactors(mgr, r0, TransitionSystem::primed(v)),
+          cofactors(mgr, r1, TransitionSystem::primed(v))};
+}
+
+/// The walk behind TransitionSystem::saturation_events: (level, event)
+/// pairs, top first.  Raw handles — the caller holds a protect_scope.
+std::vector<std::pair<std::uint32_t, Bdd>> split_by_top_level(
+    BddManager& mgr, const std::vector<std::uint32_t>& levels, Bdd part) {
+  std::vector<std::pair<std::uint32_t, Bdd>> events;
+  Bdd rest = part;
+  for (std::uint32_t k = 0; k < levels.size() && rest != kBddFalse; ++k) {
+    const std::uint32_t v = levels[k];
+    const PairCofactors c = pair_cofactors(mgr, rest, v);
+    if (c[0][0] != c[1][1]) {
+      events.emplace_back(k, rest);
+      break;
+    }
+    if (c[0][1] != kBddFalse || c[1][0] != kBddFalse) {
+      const std::uint32_t p = TransitionSystem::primed(v);
+      events.emplace_back(k, mgr.make_node(TransitionSystem::unprimed(v),
+                                           mgr.make_node(p, kBddFalse, c[0][1]),
+                                           mgr.make_node(p, c[1][0], kBddFalse)));
+    }
+    rest = c[0][0];
+  }
+  return events;
+}
+
+/// Saturation over one event per level (the OR of the parts' events
+/// there).  A node is saturated once its children are and its level's
+/// event has been fired to a fixpoint on them; every node the relational
+/// product builds is saturated the same way, so each result is closed
+/// under every event at its level and below.  All handles are raw, the
+/// unions' results included, and the memo tables live as long as the
+/// object: the caller holds one protect_scope across its whole lifetime.
+class Saturation {
+ public:
+  Saturation(BddManager& mgr, std::vector<std::uint32_t> levels,
+             std::vector<Bdd> events)
+      : mgr_(mgr),
+        levels_(std::move(levels)),
+        events_(std::move(events)),
+        identity_(levels_.size() + 1, kBddTrue),
+        saturated_(levels_.size()),
+        images_(levels_.size()) {
+    for (std::size_t k = levels_.size(); k-- > 0;) {
+      const std::uint32_t p = TransitionSystem::primed(levels_[k]);
+      identity_[k] = mgr_.make_node(TransitionSystem::unprimed(levels_[k]),
+                                    mgr_.make_node(p, identity_[k + 1], kBddFalse),
+                                    mgr_.make_node(p, kBddFalse, identity_[k + 1]));
+    }
+  }
+
+  /// The closure of `set` under every event.
+  Bdd run(Bdd set) { return saturate(0, set); }
+
+ private:
+  /// `s` (a set from level k down) closed under the events at k and below.
+  Bdd saturate(std::uint32_t k, Bdd s) {
+    if (s == kBddFalse || k == levels_.size()) return s;
+    auto& memo = saturated_[k];
+    if (const auto it = memo.find(s); it != memo.end()) return it->second;
+    step();
+    const auto [s0, s1] = cofactors(mgr_, s, TransitionSystem::unprimed(levels_[k]));
+    const Bdd t0 = saturate(k + 1, s0);
+    const Bdd result = fire(k, {t0, s1 == s0 ? t0 : saturate(k + 1, s1)});
+    memo.emplace(s, result);
+    return result;
+  }
+
+  /// The saturated image of `s` (saturated from level k down) under `r` (a
+  /// relation from level k down).
+  Bdd image(std::uint32_t k, Bdd s, Bdd r) {
+    if (s == kBddFalse || r == kBddFalse) return kBddFalse;
+    if (r == identity_[k]) return s;  // x' = x from here down: nothing moves
+    auto& memo = images_[k];
+    const std::uint64_t key = (std::uint64_t{s} << 32) | r;
+    if (const auto it = memo.find(key); it != memo.end()) return it->second;
+    step();
+    const std::uint32_t v = levels_[k];
+    const std::array<Bdd, 2> sc = cofactors(mgr_, s, TransitionSystem::unprimed(v));
+    const PairCofactors rc = pair_cofactors(mgr_, r, v);
+    std::array<Bdd, 2> t = {kBddFalse, kBddFalse};
+    for (const std::size_t i : {0, 1})
+      for (const std::size_t j : {0, 1})
+        if (sc[i] != kBddFalse && rc[i][j] != kBddFalse)
+          t[j] = mgr_.bdd_or(t[j], image(k + 1, sc[i], rc[i][j]));
+    const Bdd result = fire(k, t);
+    memo.emplace(key, result);
+    return result;
+  }
+
+  /// Fires level k's event to a fixpoint on the saturated children `t`
+  /// and returns the node.  Chained: an image grows its target child at
+  /// once, and only a child that grew is fired from again.
+  Bdd fire(std::uint32_t k, std::array<Bdd, 2> t) {
+    const std::uint32_t v = levels_[k];
+    if (events_[k] != kBddFalse) {
+      const PairCofactors e = pair_cofactors(mgr_, events_[k], v);
+      std::array<bool, 2> grew = {t[0] != kBddFalse, t[1] != kBddFalse};
+      bool changed = grew[0] || grew[1];
+      while (changed) {
+        rt::charge_iteration("sym/saturation");
+        ICTL_FAILPOINT("sym/saturation_sweep");
+        ICTL_COUNT("sym", "saturation_rounds");
+        changed = false;
+        for (const std::size_t i : {0, 1}) {
+          if (!grew[i]) continue;
+          grew[i] = false;
+          for (const std::size_t j : {0, 1}) {
+            if (e[i][j] == kBddFalse) continue;
+            // Raw like every handle here: the caller's protect_scope spans
+            // this object's lifetime (see the class comment).
+            // ictl-lint: allow(raw-bdd-binding)
+            const Bdd next = mgr_.bdd_or(t[j], image(k + 1, t[i], e[i][j]));
+            if (next == t[j]) continue;
+            t[j] = next;
+            grew[j] = changed = true;
+          }
         }
       }
     }
+    return mgr_.make_node(TransitionSystem::unprimed(v), t[0], t[1]);
+  }
+
+  /// Batched budget checkpoint over the recursion's memo misses.
+  void step() {
+    if ((++steps_ & 0xfff) == 0) rt::checkpoint("sym/saturation");
+  }
+
+  BddManager& mgr_;
+  std::vector<std::uint32_t> levels_;  // state variable at each level
+  // Raw handles, valid for the one protect_scope the caller holds across
+  // the object's lifetime (see the class comment); so is every table below.
+  // ictl-lint: allow(raw-bdd-member)
+  std::vector<Bdd> events_;  // OR of the events at each level
+  // ictl-lint: allow(raw-bdd-member)
+  std::vector<Bdd> identity_;  // x' = x from level k to the bottom
+  // ictl-lint: allow(raw-bdd-member)
+  std::vector<std::unordered_map<Bdd, Bdd>> saturated_;  // per level: s -> result
+  // ictl-lint: allow(raw-bdd-member)
+  std::vector<std::unordered_map<std::uint64_t, Bdd>> images_;  // (s, r) -> result
+  std::uint64_t steps_ = 0;
+};
+
+}  // namespace
+
+void TransitionSystem::require_state_support() const {
+  // Saturation has one level per (x, x') pair and none for any other
+  // variable, so a relation or initial set reaching outside them would walk
+  // off its level table.  audit() reports the same conditions in full.
+  const std::uint32_t n = num_state_vars_;
+  const std::vector<std::uint32_t> relation =
+      mgr_->support_vars(std::vector<Bdd>(parts_.begin(), parts_.end()));
+  if (!relation.empty() && relation.back() >= 2 * n)
+    throw ModelError("TransitionSystem: the relation mentions BDD variable " +
+                     std::to_string(relation.back()) +
+                     ", outside the declared state variables");
+  for (const std::uint32_t v : mgr_->support_vars(initial_))
+    if (v >= 2 * n || v % 2 != 0)
+      throw ModelError("TransitionSystem: the initial set mentions BDD variable " +
+                       std::to_string(v) + ", not an unprimed state variable");
+}
+
+std::vector<TransitionSystem::SaturationEvent> TransitionSystem::saturation_events(
+    std::size_t part) const {
+  support::require<Error>(part < parts_.size(),
+                          "TransitionSystem::saturation_events: no such part");
+  std::vector<SaturationEvent> events;
+  if (kind_ != PartitionKind::kDisjunctive) return events;
+  require_state_support();
+  const auto scope = mgr_->protect_scope();
+  const std::vector<std::uint32_t> levels = pair_levels(*mgr_, num_state_vars_);
+  for (const auto& [k, relation] : split_by_top_level(*mgr_, levels, parts_[part]))
+    events.push_back({levels[k], BddRef(*mgr_, relation)});
+  return events;
+}
+
+Bdd TransitionSystem::reachable() const {
+  if (reachable_.has_value()) return reachable_->get();
+  ICTL_PROFILE_ARG("sym", "reach_fixpoint", "parts", parts_.size());
+  require_state_support();
+  std::optional<BddRef> saturated;
+  if (kind_ == PartitionKind::kDisjunctive) {
+    // One scope for the whole saturation: the memo tables hold raw
+    // handles, so neither GC nor reordering may run until it closes.
+    const auto scope = mgr_->protect_scope();
+    std::vector<std::uint32_t> levels = pair_levels(*mgr_, num_state_vars_);
+    std::vector<Bdd> events(levels.size(), kBddFalse);
+    std::size_t event_levels = 0;
+    for (const BddRef& part : parts_)
+      for (const auto& [k, relation] : split_by_top_level(*mgr_, levels, part)) {
+        event_levels += events[k] == kBddFalse ? 1 : 0;
+        events[k] = mgr_->bdd_or(events[k], relation);
+      }
+    if (event_levels > 1) {
+      ICTL_PROFILE("sym", "saturation_sweep");
+      ICTL_COUNT("sym", "saturation_sweeps");
+      saturated.emplace(
+          *mgr_, Saturation(*mgr_, std::move(levels), std::move(events)).run(initial_));
+    }
+  }
+  BddRef reach = initial_;
+  if (saturated.has_value()) {
+    // The scope deferred all maintenance.  This union (the initial states
+    // are already in the closure) is the public operation that runs it — a
+    // pending GC or sift and the node budget's ladder — while reachable_
+    // is still unset, so a trip caches nothing.
+    reach = mgr_->bdd_or(*saturated, initial_);
   } else {
     // Frontier iteration: only the newly discovered states are imaged.
     BddRef frontier = initial_;

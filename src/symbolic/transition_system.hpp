@@ -11,12 +11,11 @@
 // parts through and_exists with an EARLY-QUANTIFICATION schedule — each
 // state variable is quantified out as soon as no later part mentions it —
 // computed once per partition order at construction.  A disjunctive
-// partition chains its parts to saturation inside reachable() (the big
-// win: one sweep carries the ring token all the way around), while the
-// single-step pre/post images run one relational product against the
-// lazily combined relation — the parts keep the COMBINE cheap, and a lone
-// and_exists measured ~5x faster than a per-part product-and-OR loop for
-// the EX-heavy CTL fixpoints.
+// partition is split into events by top level and saturated bottom-up
+// inside reachable() (see there), while the single-step pre/post images
+// run one relational product against the lazily combined relation — the
+// parts keep the COMBINE cheap, and a lone and_exists measured ~5x faster
+// than a per-part product-and-OR loop for the EX-heavy CTL fixpoints.
 //
 // Lifetimes: everything the system retains — initial set, partition,
 // prop functions, quantification cubes, the cached monolithic relation
@@ -107,11 +106,40 @@ class TransitionSystem {
   [[nodiscard]] BddRef post_image(Bdd states) const;
 
   /// Least fixpoint of I | post_image(.), computed once, cached and
-  /// system-rooted.  A disjunctive partition is chained: within one sweep
-  /// each part's image feeds the next part immediately (Ravi–Somenzi style),
-  /// which collapses the long token-passing diameters of the ring family
-  /// into a handful of sweeps.
+  /// system-rooted.  A disjunctive partition is SATURATED (Ciardo, Lüttgen
+  /// & Siminiceanu, TACAS 2001): each part is split into events by top
+  /// level (see saturation_events), one event per level after OR-ing, and
+  /// the initial set is saturated bottom-up — a node's children first,
+  /// then its level's event fired to a fixpoint on them — so every node
+  /// built is closed under the events at its level and below.  The
+  /// relational product returns the set unchanged once the relation is
+  /// x' = x down to the bottom, so a ring rule that moves one process
+  /// costs a walk down to that process's levels instead of a product over
+  /// every variable per firing.  Conjunctive partitions, splits with a
+  /// single event level (from_structure's minterm relation) and orders that
+  /// separate an (x, x') pair iterate breadth-first over a frontier.
+  /// Throws ModelError when a part mentions a BDD variable outside the
+  /// 2 * num_state_vars state variables, or the initial set one that is not
+  /// an unprimed state variable (a malformed store, say).
   [[nodiscard]] Bdd reachable() const;
+
+  /// Partition part `part` split into saturation events, at most one per
+  /// state level, top level first in the current order.  The part is
+  /// walked down from the top level: a level where x' = x with one
+  /// continuation for both values of x is skipped; where the two stay
+  /// branches share one continuation but x may also change, the changing
+  /// branches become an event there and the walk continues down the stay
+  /// branch; otherwise the rest of the part is one event at that level.
+  /// The part is the OR of its events, each conjoined with x' = x on every
+  /// state variable above its `top_var`; a rest that is x' = x all the way
+  /// down fires nothing and is dropped.  Empty for a conjunctive
+  /// partition, or when the current order separates some (x, x') pair by
+  /// another state variable.  Throws ModelError as reachable() does.
+  struct SaturationEvent {
+    std::uint32_t top_var;  ///< state variable at the event's top level
+    BddRef relation;        ///< over top_var and the state variables below
+  };
+  [[nodiscard]] std::vector<SaturationEvent> saturation_events(std::size_t part) const;
 
   /// Installs a precomputed reachable set (the bdd_store loader's path:
   /// reload a saved fixpoint instead of recomputing it).
@@ -174,6 +202,12 @@ class TransitionSystem {
   /// whose last mention across the partition order is that part, plus the
   /// leading cube of state variables no part mentions at all.
   void build_quantification_schedule();
+
+  /// Throws ModelError unless the parts stay within the state variables and
+  /// the initial set within the unprimed ones — saturation's precondition,
+  /// checked where a reach or a split needs it rather than at construction,
+  /// which a store reload would otherwise pay.
+  void require_state_support() const;
 
   std::shared_ptr<BddManager> mgr_;
   std::uint32_t num_state_vars_;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -16,6 +17,7 @@
 #include "rt/budget.hpp"
 #include "rt/failpoint.hpp"
 #include "symbolic/ctl_checker.hpp"
+#include "symbolic/ring_encoding.hpp"
 #include "symbolic/transition_system.hpp"
 
 namespace ictl::rt {
@@ -266,24 +268,84 @@ TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
                       logic::EG(logic::atom("q")));
   const mc::SatSet want = reference_sat(m, f);
 
+  // Every site must be on this query's path, so a site that never fires
+  // fails here instead of testing nothing.  The checker is built with the
+  // site armed: its constructor computes the reachable set, which for
+  // from_structure's one-part relation runs the frontier loop
+  // (sym/reach_round).
   for (const char* site :
        {"sym/eu_iter", "sym/eg_iter", "sym/reach_round", "eval/instruction"}) {
     auto ts =
         std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-    symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+    std::optional<symbolic::CtlChecker> checker;
     arm_failpoint(site);
     try {
-      static_cast<void>(checker.sat(f));
-      // Sites not on this formula's path simply never fire.
+      checker.emplace(ts, eval::CheckerOptions{.unknown_atoms_are_false = true});
+      static_cast<void>(checker->sat(f));
+      ADD_FAILURE() << site << " never fired";
       disarm_failpoints();
     } catch (const Interrupted&) {
       EXPECT_EQ(armed_failpoints(), 0u) << site << " is not one-shot";
     }
     ASSERT_TRUE(ts->manager().check_invariants()) << "after " << site;
-    const Bdd sym = checker.sat(f);  // one-shot: the retry runs through
+    // One-shot: the retry runs through, on the same checker when the trip
+    // came after its construction.
+    if (!checker.has_value())
+      checker.emplace(ts, eval::CheckerOptions{.unknown_atoms_are_false = true});
+    const Bdd sym = checker->sat(f);
     for (kripke::StateId s = 0; s < m.num_states(); ++s)
       EXPECT_EQ(contains(*ts, sym, s), want.test(s))
           << "site " << site << ", state " << s;
+  }
+}
+
+TEST(BudgetTrip, RingSaturationTripsTypedAuditsCleanAndRetries) {
+  // A ring reach stopped mid-saturation three ways — the per-round
+  // failpoint, the iteration cap, and a node cap below the reach's own size
+  // (enforced at the maintenance point that closes the saturation) — must
+  // unwind typed, cache no fixpoint, audit clean, and retry unbudgeted to
+  // the reference fixpoint on the same manager.
+  constexpr std::uint32_t kR = 10;
+  auto mgr = std::make_shared<symbolic::BddManager>(0);
+  auto reg = kripke::make_registry();
+  const auto reference = symbolic::build_symbolic_ring(kR, mgr, reg);
+  ResourceBudget counting;  // unlimited: counts the saturation's rounds
+  Bdd want = symbolic::kBddFalse;
+  {
+    const BudgetScope scope(counting);
+    want = reference.system->reachable();
+  }
+  const std::uint64_t rounds = counting.iterations();
+  ASSERT_GE(rounds, 4u);
+
+  enum class Trip { kFailpoint, kIterations, kNodes };
+  for (const Trip trip : {Trip::kFailpoint, Trip::kIterations, Trip::kNodes}) {
+    if (trip == Trip::kFailpoint && !kFailpointsCompiledIn) continue;
+    const auto ring = symbolic::build_symbolic_ring(kR, mgr, reg);
+    BudgetLimits limits;
+    if (trip == Trip::kIterations) limits.iteration_cap = rounds / 2;
+    if (trip == Trip::kNodes) limits.node_cap = mgr->dag_size(want);
+    if (trip == Trip::kFailpoint) arm_failpoint("sym/saturation_sweep", rounds / 2);
+    ResourceBudget budget(limits);
+    const int leg = static_cast<int>(trip);
+    try {
+      const BudgetScope scope(budget);
+      static_cast<void>(ring.system->reachable());
+      ADD_FAILURE() << "leg " << leg << " never tripped";
+    } catch (const BudgetExceeded& e) {
+      EXPECT_NE(trip, Trip::kFailpoint);
+      EXPECT_EQ(e.kind(), trip == Trip::kIterations ? BudgetKind::kIterations
+                                                    : BudgetKind::kNodes);
+      EXPECT_EQ(e.phase(), trip == Trip::kIterations ? "sym/saturation" : "bdd/node_cap");
+    } catch (const Interrupted&) {
+      EXPECT_EQ(trip, Trip::kFailpoint);
+      EXPECT_EQ(armed_failpoints(), 0u);
+    }
+    EXPECT_FALSE(ring.system->reachable_computed()) << "leg " << leg;
+    const auto report = ring.system->audit();
+    EXPECT_TRUE(report.ok()) << "leg " << leg << ": " << report.to_string();
+    ASSERT_TRUE(mgr->check_invariants()) << "leg " << leg;
+    EXPECT_EQ(ring.system->reachable(), want) << "leg " << leg;
   }
 }
 

@@ -276,6 +276,58 @@ TEST(BddStoreTransitionSystem, ConjunctivePartitionKindSurvives) {
             mgr->sat_count_exact(orig.initial()));
 }
 
+/// A save_transition_system header written by hand — disjunctive, no
+/// props, no index set, no saved reach — so a test can pair it with a BDD
+/// section that no TransitionSystem would have produced.
+std::string system_header(std::uint32_t num_state_vars, std::uint32_t num_parts) {
+  std::string header = "ICTLTS1\n";
+  for (const std::uint32_t field : {1u, num_state_vars, 0u, num_parts, 0u, 0u, 0u})
+    for (int i = 0; i < 4; ++i) header.push_back(static_cast<char>(field >> (8 * i)));
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;  // FNV-1a, as the store writes it
+  for (const char c : header)
+    fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  for (int i = 0; i < 8; ++i) header.push_back(static_cast<char>(fnv >> (8 * i)));
+  return header;
+}
+
+TEST(BddStoreTransitionSystem, SupportOutsideTheStateVariablesIsATypedError) {
+  // A store is outside input.  Two state variables own BDD variables 0-3
+  // of a six-variable manager; variable 4 sits below every state pair,
+  // where saturation has no level for it.
+  auto reg = kripke::make_registry();
+  auto mgr = std::make_shared<BddManager>(6);
+  const BddRef stay = mgr->bdd_and(mgr->bdd_iff(mgr->var(1), mgr->var(0)),
+                                   mgr->bdd_iff(mgr->var(3), mgr->var(2)));
+  const BddRef extra = mgr->bdd_and(stay.get(), mgr->var(4));
+  const BddRef start = mgr->bdd_and(mgr->nvar(0), mgr->nvar(2));
+  const BddRef primed_start = mgr->bdd_and(start.get(), mgr->var(1));
+  const struct {
+    const char* what;
+    Bdd initial;
+    Bdd part;
+  } cases[] = {{"part over variable 4", start.get(), extra.get()},
+               {"initial set over primed variable 1", primed_start.get(), stay.get()}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::stringstream stream;
+    stream << system_header(2, 1);
+    const std::vector<std::pair<std::string, Bdd>> roots = {{"initial", c.initial},
+                                                            {"part/0", c.part}};
+    save_bdds(*mgr, stream, roots);
+#ifdef ICTL_AUDIT
+    // The construction audit already refuses the system.
+    EXPECT_THROW(static_cast<void>(load_transition_system(stream, reg)), Error);
+#else
+    const TransitionSystem loaded = load_transition_system(stream, reg);
+    EXPECT_FALSE(loaded.audit().ok());
+    EXPECT_THROW(static_cast<void>(loaded.reachable()), ModelError);
+    EXPECT_THROW(static_cast<void>(loaded.saturation_events(0)), ModelError);
+    EXPECT_FALSE(loaded.reachable_computed());
+    EXPECT_TRUE(loaded.manager().check_invariants());
+#endif
+  }
+}
+
 TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
   auto reg = kripke::make_registry();
 

@@ -4,6 +4,7 @@
 // truth-table evaluation over small variable counts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -272,6 +273,45 @@ TEST(BddManager, NewVarExtendsUniverse) {
   EXPECT_DOUBLE_EQ(mgr.sat_count(f), 2.0);
   EXPECT_EQ(mgr.bdd_and(f, mgr.var(2)),
             mgr.bdd_and(mgr.var(0), mgr.bdd_and(mgr.var(1), mgr.var(2))));
+}
+
+TEST(BddManager, MakeNodesMatchesMakeNodePerRecord) {
+  // Records name their children by index into the handle list: 0 and 1 are
+  // the terminals, 2 a node the manager already holds, 3.. the records.
+  const std::vector<std::array<std::uint32_t, 3>> records = {
+      {5, 0, 1},  // 3: a new node
+      {3, 0, 1},  // 4: the node at index 2 again (a unique-table hit)
+      {1, 3, 4},  // 5: a new node over both
+      {1, 3, 4},  // 6: a duplicate record, the same node as 5
+      {0, 5, 6},  // 7: equal children, so reduced to 5
+      {0, 5, 2},  // 8: a new node
+  };
+  BddManager one(6);
+  BddManager bulk(6);
+  const BddRef x3_one = one.var(3);
+  const BddRef x3_bulk = bulk.var(3);
+  const auto scope_one = one.protect_scope();
+  const auto scope_bulk = bulk.protect_scope();
+  const auto hits_before = bulk.stats().unique_hits;
+  const auto misses_before = bulk.stats().unique_misses;
+
+  std::vector<Bdd> expected = {kBddFalse, kBddTrue, x3_one.get()};
+  for (const auto& [v, low, high] : records)
+    expected.push_back(one.make_node(v, expected[low], expected[high]));
+  std::vector<Bdd> handles = {kBddFalse, kBddTrue, x3_bulk.get()};
+  bulk.make_nodes(records, handles);
+
+  EXPECT_EQ(handles, expected);
+  EXPECT_EQ(handles[4], handles[2]);
+  EXPECT_EQ(handles[6], handles[5]);
+  EXPECT_EQ(handles[7], handles[5]);
+  EXPECT_EQ(bulk.num_nodes(), one.num_nodes());
+  EXPECT_EQ(bulk.stats().unique_misses - misses_before, 3u);
+  EXPECT_EQ(bulk.stats().unique_hits - hits_before, 2u);
+  // The nodes went into the unique table: make_node finds them afterwards.
+  EXPECT_EQ(bulk.make_node(0, handles[5], handles[2]), handles[8]);
+  EXPECT_EQ(bulk.make_node(5, kBddFalse, kBddTrue), handles[3]);
+  EXPECT_TRUE(bulk.check_invariants());
 }
 
 }  // namespace

@@ -176,35 +176,12 @@ TEST(SymbolicRing, SharedManagerAcrossSizes) {
 
 TEST(SymbolicRing, PartitionedRelationIsEmitted) {
   // The encoding hands TransitionSystem a rule-wise partition directly:
-  // rule-1, rule-3 and rule-4 partitions plus ceil(r/16)-by-default rule-2
-  // holder clusters — never one monolithic T.
+  // rule-1, rule-3 and rule-4 partitions plus rule-2 clusters of ceil(r/16)
+  // holders — never one monolithic T.
   const SymbolicRing ring = build_symbolic_ring(20);
   EXPECT_EQ(ring.system->partition_kind(), PartitionKind::kDisjunctive);
-  const std::uint32_t width = (20u + 15u) / 16u;  // default: ceil(r / 16)
+  const std::uint32_t width = (20u + 15u) / 16u;
   EXPECT_EQ(ring.system->partition().size(), 3u + (20u + width - 1u) / width);
-  SymbolicRingOptions one_per_holder;
-  one_per_holder.holders_per_cluster = 1;
-  const SymbolicRing fine = build_symbolic_ring(6, nullptr, nullptr, one_per_holder);
-  EXPECT_EQ(fine.system->partition().size(), 3u + 6u);
-}
-
-TEST(SymbolicRing, ClusterWidthDoesNotChangeSemantics) {
-  const std::uint32_t r = 8;
-  std::vector<std::uint32_t> widths = {1, 3, 8};
-  for (const std::uint32_t w : widths) {
-    auto reg = kripke::make_registry();
-    SymbolicRingOptions options;
-    options.holders_per_cluster = w;
-    const SymbolicRing ring = build_symbolic_ring(r, nullptr, reg, options);
-    EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                     static_cast<double>(ring::ring_state_count(r)))
-        << "width " << w;
-    CtlChecker checker(ring.system);
-    EXPECT_TRUE(checker.holds_initially(ring::property_critical_implies_token()))
-        << "width " << w;
-    EXPECT_TRUE(checker.holds_initially(ring::invariant_one_token()))
-        << "width " << w;
-  }
 }
 
 TEST(SymbolicRing, ReachableCountExactAtCapOf256) {

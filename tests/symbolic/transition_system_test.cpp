@@ -221,7 +221,7 @@ TEST(TransitionSystem, DisjunctivePartitionMatchesMonolithic) {
     EXPECT_EQ(partitioned.pre_image(s), reference.pre_image(s));
     EXPECT_EQ(partitioned.post_image(s), reference.post_image(s));
   }
-  // Chained-saturation reachability lands on the same fixpoint as the
+  // The partitioned reachability lands on the same fixpoint as the
   // frontier loop over the monolithic relation.
   EXPECT_EQ(partitioned.reachable(), reference.reachable());
 }
