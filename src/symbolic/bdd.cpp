@@ -764,6 +764,60 @@ Bdd BddManager::and_exists_rec(Bdd f, Bdd g, Bdd cube) {
   return result;
 }
 
+BddRef BddManager::pair_pre_image(Bdd relation, Bdd set) {
+  ICTL_ASSERT(relation < nodes_.size() && set < nodes_.size());
+  ensure_cache();
+  BddRef result(*this, pair_pre_image_rec(relation, set));
+  run_deferred_maintenance();
+  return result;
+}
+
+Bdd BddManager::pair_pre_image_rec(Bdd r, Bdd s) {
+  if (r == kBddFalse || s == kBddFalse) return kBddFalse;
+  if (r == kBddTrue) return kBddTrue;  // s is satisfiable: some x' lies in it
+
+  Bdd cached;
+  if (cache_lookup(Op::kPairPreImage, r, s, 0, cached)) return cached;
+
+  // The top pair either operand mentions, named by its unprimed variable x.
+  // Both operands' top pairs are checked: only adjacent pairs make the
+  // higher of the two the top of both.
+  const auto top_pair = [&](Bdd f) {
+    const std::uint32_t v = nodes_[f].var & ~1u;
+    support::require<Error>(v + 1 < num_vars_ && var2level_[v + 1] == var2level_[v] + 1,
+                            "BddManager::pair_pre_image: a (2v, 2v+1) pair is not on "
+                            "adjacent levels with the unprimed variable on top");
+    return v;
+  };
+  std::uint32_t x = top_pair(r);
+  if (!is_terminal(s)) {
+    support::require<Error>(nodes_[s].var % 2 == 0,
+                            "BddManager::pair_pre_image: the set mentions a primed variable");
+    const std::uint32_t xs = top_pair(s);
+    if (var2level_[xs] < var2level_[x]) x = xs;
+  }
+  const auto cofactor = [&](Bdd f, std::uint32_t v, bool hi) {
+    return !is_terminal(f) && nodes_[f].var == v ? (hi ? nodes_[f].high : nodes_[f].low)
+                                                 : f;
+  };
+  const Bdd s0 = cofactor(s, x, false);
+  const Bdd s1 = cofactor(s, x, true);
+  // Row r_a = r|x=a: the states x = a with a successor x' = b in s|x=b.
+  const auto row = [&](Bdd ra) {
+    const Bdd lo = pair_pre_image_rec(cofactor(ra, x + 1, false), s0);
+    // ite_rec, not the public bdd_or — same mid-recursion maintenance hazard.
+    return lo == kBddTrue
+               ? kBddTrue
+               : ite_rec(lo, kBddTrue, pair_pre_image_rec(cofactor(ra, x + 1, true), s1));
+  };
+  const Bdd r0 = cofactor(r, x, false);
+  const Bdd r1 = cofactor(r, x, true);
+  const Bdd t0 = row(r0);
+  const Bdd result = mk(x, t0, r1 == r0 ? t0 : row(r1));
+  cache_store(Op::kPairPreImage, r, s, 0, result);
+  return result;
+}
+
 // ---- Rename -----------------------------------------------------------------
 
 BddRef BddManager::rename(Bdd f, const std::vector<std::uint32_t>& map) {

@@ -42,7 +42,9 @@
 //     nodes: a retired handle must never come back out of a cache.
 //   * Quantification takes a positive cube (conjunction of variables) so
 //     `exists`/`forall` and the fused relational product `and_exists` — the
-//     workhorse of pre/post image computation — share one recursion shape.
+//     workhorse of post-image computation — share one recursion shape.
+//     Pre-images over the interleaved pairs take `pair_pre_image`, which
+//     needs no cube and no rename: it steps one (x, x') pair at a time.
 //
 // Persistence: symbolic/bdd_store.hpp serializes a manager's variable
 // order, live nodes, and named roots to a versioned, checksummed binary
@@ -172,6 +174,16 @@ class BddManager {
   /// The relational product  exists cube. f & g  computed in one recursion
   /// (never materializing f & g) — the image primitive.
   [[nodiscard]] BddRef and_exists(Bdd f, Bdd g, Bdd cube);
+
+  /// The pre-image over interleaved (2v, 2v+1) pairs:
+  ///   exists x'. relation(x, x') & set(x'),
+  /// reading the set's unprimed variable 2v as its primed partner 2v+1 and
+  /// quantifying every primed variable — rename and and_exists fused into
+  /// one recursion that steps one pair at a time, with one computed-table
+  /// entry per pair.  Throws Error when `set` mentions a primed (odd)
+  /// variable, or when a pair either operand mentions is not on adjacent
+  /// levels with the unprimed variable on top.
+  [[nodiscard]] BddRef pair_pre_image(Bdd relation, Bdd set);
 
   /// Renames variable v to `map[v]` for every v in the support of f.  The
   /// map must be order-preserving on the support under the CURRENT level
@@ -496,6 +508,7 @@ class BddManager {
   Bdd ite_rec(Bdd f, Bdd g, Bdd h);
   Bdd exists_rec(Bdd f, Bdd cube);
   Bdd and_exists_rec(Bdd f, Bdd g, Bdd cube);
+  Bdd pair_pre_image_rec(Bdd relation, Bdd set);
   Bdd rename_rec(Bdd f, const std::vector<std::uint32_t>& map);
   double sat_count_rec(Bdd f, std::vector<double>& memo) const;
   SatCount sat_count_exact_rec(Bdd f, std::vector<SatCount>& memo,
@@ -503,7 +516,7 @@ class BddManager {
 
   // Computed-table cache: 2-way set-associative, keyed (op, a, b, c), with
   // epoch-stamped entries (epoch mismatch == invalid) and last-use aging.
-  enum class Op : std::uint32_t { kNone = 0, kIte, kExists, kAndExists };
+  enum class Op : std::uint32_t { kNone = 0, kIte, kExists, kAndExists, kPairPreImage };
   struct CacheEntry {
     Op op = Op::kNone;
     Bdd a = 0, b = 0, c = 0;

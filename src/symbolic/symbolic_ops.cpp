@@ -68,15 +68,20 @@ Set SymbolicStateOps::iff(const Set& a, const Set& b) const {
   return m.bdd_or(both, neither);
 }
 
-Set SymbolicStateOps::ex(const Set& f) const { return ex_raw(f.get()); }
+Set SymbolicStateOps::ex(const Set& f) const { return system_->reachable_pre_image(f); }
 
-BddRef SymbolicStateOps::ex_raw(Bdd f) const {
-  return system_->manager().bdd_and(reach_, system_->pre_image(f));
+void SymbolicStateOps::prepare_rounds() const {
+  // Every round's pre-image runs inside the round's protect_scope, where no
+  // maintenance runs.  Built here instead, on first use, the rounds'
+  // relation passes its maintenance point — GC, sifting, the node budget's
+  // ladder — before the system caches it.
+  if (system_->fused_pre_images()) static_cast<void>(system_->reachable_transitions());
 }
 
 Set SymbolicStateOps::eu(const Set& f, const Set& g) {
   ICTL_PROFILE("sym", "eu_fixpoint");
   BddManager& m = system_->manager();
+  prepare_rounds();
   BddRef z(m, g.get());
   BddRef frontier(m, g.get());
   last_iterations_ = 0;
@@ -87,11 +92,10 @@ Set SymbolicStateOps::eu(const Set& f, const Set& g) {
     ICTL_FAILPOINT("sym/eu_iter");
     ++last_iterations_;
     // The scope covers one iteration body: GC and growth-triggered sifting
-    // are deferred across the and/or/pre_image chain (whose intermediates
-    // carry no roots) and fire between iterations, where the BddRef locals
-    // cover the live set.
+    // are deferred across the and/or/pre_image chain until the first
+    // operation after the fixpoint.
     const auto scope = m.protect_scope();
-    BddRef next = m.bdd_or(z, m.bdd_and(f, ex_raw(frontier.get())));
+    BddRef next = m.bdd_or(z, m.bdd_and(f, system_->reachable_pre_image(frontier)));
     frontier = m.bdd_diff(next, z);
     z = std::move(next);
   }
@@ -102,6 +106,7 @@ Set SymbolicStateOps::eu(const Set& f, const Set& g) {
 Set SymbolicStateOps::eg(const Set& f) {
   ICTL_PROFILE("sym", "eg_fixpoint");
   BddManager& m = system_->manager();
+  prepare_rounds();
   BddRef z(m, f.get());
   last_iterations_ = 0;
   while (true) {
@@ -109,7 +114,7 @@ Set SymbolicStateOps::eg(const Set& f) {
     ICTL_FAILPOINT("sym/eg_iter");
     ++last_iterations_;
     const auto scope = m.protect_scope();
-    BddRef next = m.bdd_and(z, ex_raw(z.get()));
+    BddRef next = m.bdd_and(z, system_->reachable_pre_image(z));
     if (next.get() == z.get()) {
       ICTL_SPAN_ARG("iterations", last_iterations_);
       return z;

@@ -9,8 +9,8 @@
 // file is rooted against garbage collection and dynamic reordering for
 // exactly as long as the program's allocator keeps a slot live; inside the
 // eu/eg fixpoints each iteration body additionally runs under a
-// protect_scope(), so GC and sifting can fire *between* iterations (where
-// the BddRef locals cover the live set) but never mid-chain.
+// protect_scope(), so GC, sifting and the node budget never fire mid-chain:
+// what a round defers runs at the first operation after the fixpoint.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,10 @@ class SymbolicStateOps {
   [[nodiscard]] Set disj(const Set& a, const Set& b) const;
   [[nodiscard]] Set iff(const Set& a, const Set& b) const;
 
-  [[nodiscard]] Set ex(const Set& f) const;  // reach & pre_image(f)
+  /// reach & pre_image(f), as one TransitionSystem::reachable_pre_image:
+  /// a pair product against the reachable-restricted relation on pair-
+  /// adjacent orders, so no trailing & reach.
+  [[nodiscard]] Set ex(const Set& f) const;
   /// E[f U g]: least fixpoint of Z = g | (f & EX Z) from below, frontier
   /// style — only the states added in the previous round are pre-imaged,
   /// mirroring the explicit worklist EU.
@@ -64,7 +67,9 @@ class SymbolicStateOps {
   [[nodiscard]] const TransitionSystem& model() const noexcept { return *system_; }
 
  private:
-  [[nodiscard]] BddRef ex_raw(Bdd f) const;
+  /// Builds the relation eu/eg rounds pre-image against before the first
+  /// round's protect_scope opens (see the definition).
+  void prepare_rounds() const;
 
   std::shared_ptr<const TransitionSystem> system_;
   // Ops-rooted universe: the system caches reachable() too, but holding our

@@ -138,22 +138,57 @@ Bdd TransitionSystem::transitions() const {
   return monolithic_->get();
 }
 
+Bdd TransitionSystem::reachable_transitions() const {
+  // Assigned only once the product has passed its maintenance point — GC,
+  // sifting, the node budget's ladder — so a trip caches nothing.
+  if (!restricted_.has_value()) restricted_ = mgr_->bdd_and(transitions(), reachable());
+  return restricted_->get();
+}
+
 std::size_t TransitionSystem::relation_node_count() const {
   return mgr_->dag_size(std::vector<Bdd>(parts_.begin(), parts_.end()));
 }
 
+namespace {
+
+/// The state variables in current level order, top first: one saturation
+/// level per (x, x') pair.  Empty when some pair is separated by another
+/// state variable's BDD variable — saturation and pair_pre_image cofactor a
+/// relation one pair at a time.
+std::vector<std::uint32_t> pair_levels(const BddManager& mgr, std::uint32_t n) {
+  std::vector<std::uint32_t> bdd_vars(2 * n);
+  for (std::uint32_t v = 0; v < 2 * n; ++v) bdd_vars[v] = v;
+  std::sort(bdd_vars.begin(), bdd_vars.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return mgr.level_of_var(a) < mgr.level_of_var(b);
+  });
+  std::vector<std::uint32_t> levels;
+  levels.reserve(n);
+  for (std::uint32_t i = 0; i < 2 * n; i += 2) {
+    if (bdd_vars[i] % 2 != 0 || bdd_vars[i + 1] != bdd_vars[i] + 1) return {};
+    levels.push_back(bdd_vars[i] / 2);
+  }
+  return levels;
+}
+
+}  // namespace
+
+bool TransitionSystem::fused_pre_images() const {
+  if (kind_ != PartitionKind::kDisjunctive) return false;
+  // Levels move only when the reorder epoch does, so the order is re-read
+  // once per epoch rather than once per image.
+  if (fused_epoch_ != mgr_->reorder_count()) {
+    fused_ = !pair_levels(*mgr_, num_state_vars_).empty();
+    fused_epoch_ = mgr_->reorder_count();
+  }
+  return fused_;
+}
+
 BddRef TransitionSystem::pre_image(Bdd states) const {
   ICTL_COUNT("sym", "pre_images");
+  if (fused_pre_images()) return mgr_->pair_pre_image(transitions(), states);
   const BddRef primed_states = mgr_->rename(states, to_primed_);
-  if (kind_ == PartitionKind::kDisjunctive) {
-    // One relational product against the combined relation.  Disjunctive
-    // images distribute over the parts, but for this family the combined
-    // BDD is small (the parts exist to make BUILDING it cheap and to split
-    // reachability into events), and EX-heavy CTL fixpoints measured ~5x
-    // faster on one and_exists than on a per-part product-and-OR loop — so
-    // the single-step images use the lazy combine.
+  if (kind_ == PartitionKind::kDisjunctive)
     return mgr_->and_exists(transitions(), primed_states, primed_cube_);
-  }
   // Conjunctive: fold the parts through the relational product, retiring
   // each primed variable at its scheduled part.
   ICTL_PROFILE_ARG("sym", "early_quant_fold", "parts", parts_.size());
@@ -165,6 +200,12 @@ BddRef TransitionSystem::pre_image(Bdd states) const {
     acc = mgr_->and_exists(acc, parts_[k], pre_schedule_cubes_[k]);
   }
   return acc;
+}
+
+BddRef TransitionSystem::reachable_pre_image(Bdd states) const {
+  if (!fused_pre_images()) return mgr_->bdd_and(reachable(), pre_image(states));
+  ICTL_COUNT("sym", "pre_images");
+  return mgr_->pair_pre_image(reachable_transitions(), states);
 }
 
 BddRef TransitionSystem::post_image(Bdd states) const {
@@ -183,25 +224,6 @@ BddRef TransitionSystem::post_image(Bdd states) const {
 }
 
 namespace {
-
-/// The state variables in current level order, top first: one saturation
-/// level per (x, x') pair.  Empty when some pair is separated by another
-/// state variable's BDD variable — saturation cofactors a relation one
-/// pair at a time.
-std::vector<std::uint32_t> pair_levels(const BddManager& mgr, std::uint32_t n) {
-  std::vector<std::uint32_t> bdd_vars(2 * n);
-  for (std::uint32_t v = 0; v < 2 * n; ++v) bdd_vars[v] = v;
-  std::sort(bdd_vars.begin(), bdd_vars.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return mgr.level_of_var(a) < mgr.level_of_var(b);
-  });
-  std::vector<std::uint32_t> levels;
-  levels.reserve(n);
-  for (std::uint32_t i = 0; i < 2 * n; i += 2) {
-    if (bdd_vars[i] % 2 != 0 || bdd_vars[i + 1] != bdd_vars[i] + 1) return {};
-    levels.push_back(bdd_vars[i] / 2);
-  }
-  return levels;
-}
 
 /// f's cofactors on BDD variable `var`, which must not lie below f's top.
 std::array<Bdd, 2> cofactors(const BddManager& mgr, Bdd f, std::uint32_t var) {
@@ -576,6 +598,9 @@ BddManager::AuditReport TransitionSystem::audit() const {
     if (mgr_->bdd_diff(image.get(), reach).get() != kBddFalse)
       fail("reachable set is not a fixpoint: post_image adds states");
   }
+  if (restricted_.has_value() &&
+      mgr_->bdd_and(transitions(), reachable()).get() != restricted_->get())
+    fail("cached reachable relation is not transitions() & reachable()");
   return report;
 }
 

@@ -14,16 +14,22 @@
 // partition is split into events by top level and saturated bottom-up
 // inside reachable() (see there), while the single-step pre/post images
 // run one relational product against the lazily combined relation — the
-// parts keep the COMBINE cheap, and a lone and_exists measured ~5x faster
-// than a per-part product-and-OR loop for the EX-heavy CTL fixpoints.
+// parts keep the COMBINE cheap, and one product measured ~5x faster than a
+// per-part product-and-OR loop for the EX-heavy CTL fixpoints.  The
+// pre-image product is BddManager::pair_pre_image, which reads the set's
+// x as x' one (x, x') pair at a time; the CTL fixpoints, whose every round
+// wants reachable() & pre_image(S), run it against the relation restricted
+// to reachable sources (reachable_pre_image), so no round walks the
+// unreachable encodings only to intersect them away.  Orders that separate
+// an (x, x') pair fall back to rename + and_exists.
 //
 // Lifetimes: everything the system retains — initial set, partition,
-// prop functions, quantification cubes, the cached monolithic relation
-// and reachable set — is held in BddRef roots, so it survives garbage
-// collection and reordering while everything transient (image
-// intermediates, fixpoint frontiers) becomes collectible the moment its
-// ref dies.  The image primitives return BddRef: callers own their
-// results.
+// prop functions, quantification cubes, the cached monolithic and
+// reachable-restricted relations and reachable set — is held in BddRef
+// roots, so it survives garbage collection and reordering while everything
+// transient (image intermediates, fixpoint frontiers) becomes collectible
+// the moment its ref dies.  The image primitives return BddRef: callers own
+// their results.
 //
 // Variable convention: state variable v (0-based, v < num_state_vars) owns
 // the BDD variable pair (2v, 2v+1) — unprimed interleaved with primed, so
@@ -95,11 +101,37 @@ class TransitionSystem {
   /// system-rooted; the image primitives never need it.
   [[nodiscard]] Bdd transitions() const;
 
+  /// T(x, x') & reachable(x): the relation from reachable sources only —
+  /// combined on first request, cached and system-rooted, and reset by
+  /// adopt_reachable.  The relation reachable_pre_image runs against.
+  [[nodiscard]] Bdd reachable_transitions() const;
+
+  /// Whether reachable_transitions() is cached (a budget trip while it is
+  /// built leaves it unset).
+  [[nodiscard]] bool reachable_transitions_computed() const noexcept {
+    return restricted_.has_value();
+  }
+
   /// Total BDD nodes across the partition (shared nodes counted once).
   [[nodiscard]] std::size_t relation_node_count() const;
 
   /// { x | exists x'. T(x, x') & S(x') } — states with some successor in S.
+  /// One pair_pre_image against transitions() when fused_pre_images();
+  /// otherwise S is renamed to x' and a disjunctive relation takes one
+  /// and_exists, a conjunctive one the early-quantification fold.
   [[nodiscard]] BddRef pre_image(Bdd states) const;
+
+  /// reachable() & pre_image(S), the backward step of every symbolic EX,
+  /// EU and EG round.  When fused_pre_images(), one pair_pre_image against
+  /// reachable_transitions(): the restriction rides inside the product
+  /// instead of trimming its result.  Otherwise pre_image, then & reachable().
+  /// Counts one sym/pre_images either way.
+  [[nodiscard]] BddRef reachable_pre_image(Bdd states) const;
+
+  /// True when the partition is disjunctive and the current order keeps
+  /// every (x, x') pair on adjacent levels, unprimed on top — what
+  /// pair_pre_image needs.  Re-read from the order once per reorder epoch.
+  [[nodiscard]] bool fused_pre_images() const;
 
   /// { x' | exists x. S(x) & T(x, x') } — states with some predecessor in S,
   /// renamed back to unprimed variables.
@@ -143,7 +175,10 @@ class TransitionSystem {
 
   /// Installs a precomputed reachable set (the bdd_store loader's path:
   /// reload a saved fixpoint instead of recomputing it).
-  void adopt_reachable(Bdd reach) const { reachable_ = BddRef(*mgr_, reach); }
+  void adopt_reachable(Bdd reach) const {
+    reachable_ = BddRef(*mgr_, reach);
+    restricted_.reset();
+  }
 
   /// Whether reachable() has already been computed (or adopted) — lets the
   /// store persist the fixpoint without forcing its computation.
@@ -187,7 +222,8 @@ class TransitionSystem {
   /// inverses over the state pairs, the early-quantification schedule
   /// quantifies each variable exactly at the last part mentioning it, and —
   /// once computed — reachable() contains the initial states and is closed
-  /// under post_image.
+  /// under post_image, and reachable_transitions() equals transitions() &
+  /// reachable().
   [[nodiscard]] BddManager::AuditReport audit() const;
 
   /// Throws Error listing every failure when audit() fails.  The ICTL_AUDIT
@@ -227,7 +263,11 @@ class TransitionSystem {
   BddRef pre_leading_cube_;                  // primed vars mentioned by no part
   BddRef post_leading_cube_;                 // unprimed vars mentioned by no part
   mutable std::optional<BddRef> monolithic_;
+  mutable std::optional<BddRef> restricted_;  // reachable_transitions()
   mutable std::optional<BddRef> reachable_;
+  // fused_pre_images() and the reorder epoch it was last read at.
+  mutable bool fused_ = false;
+  mutable std::optional<std::uint64_t> fused_epoch_;
 };
 
 /// Generic bridge from the explicit engine: encodes an explicit structure

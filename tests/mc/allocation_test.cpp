@@ -22,22 +22,27 @@ std::size_t g_alloc_count = 0;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line.  Once gcc 12 inlines one side of the
+// pair but not the other, -Wmismatched-new-delete sees std::free applied to
+// a pointer from operator new (the TSan build at -O2 inlines only delete)
+// or operator delete applied to one from std::malloc.  Called as operator
+// new and operator delete everywhere, the pair matches.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_alloc_count;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   ++g_alloc_count;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ictl::mc {
 namespace {

@@ -349,6 +349,49 @@ TEST(BudgetTrip, RingSaturationTripsTypedAuditsCleanAndRetries) {
   }
 }
 
+TEST(BudgetTrip, NodeCapWhileTheReachableRelationIsBuiltCachesNothing) {
+  // An EG check builds the reachable-restricted relation T & reach on first
+  // use, before its first round's protect_scope opens, so a node cap that
+  // only the relation breaks trips at that build's maintenance point.  The
+  // trip must cache no relation and leave the system audit-clean, and the
+  // unbudgeted retry on the same checker must return the explicit verdict.
+  constexpr std::uint32_t kR = 8;
+  auto reg = kripke::make_registry();
+  const auto ring = symbolic::build_symbolic_ring(kR, nullptr, reg);
+  const std::shared_ptr<const TransitionSystem> ts = ring.system;
+  symbolic::BddManager& mgr = ts->manager();
+  symbolic::CtlChecker checker(ts);
+  const auto f = logic::parse_formula("E G !c[1]");
+  // Everything the check needs but the restricted relation is built and
+  // rooted before the budget: the relation, the reachable set (by the
+  // checker), and the leaf sets (in the checker's memo).
+  static_cast<void>(ts->transitions());
+  static_cast<void>(checker.sat(logic::parse_formula("c[1]")));
+  static_cast<void>(checker.sat(logic::parse_formula("!c[1]")));
+  ASSERT_TRUE(ts->fused_pre_images());
+  ASSERT_FALSE(ts->reachable_transitions_computed());
+  mgr.garbage_collect();
+
+  ResourceBudget budget(BudgetLimits{.node_cap = mgr.live_nodes()});
+  try {
+    const BudgetScope scope(budget);
+    static_cast<void>(checker.sat(f));
+    FAIL() << "node cap never tripped";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(e.kind(), BudgetKind::kNodes);
+    EXPECT_EQ(e.phase(), "bdd/node_cap");
+  }
+  EXPECT_FALSE(ts->reachable_transitions_computed());
+  const auto report = ts->audit();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_TRUE(mgr.check_invariants());
+
+  const auto explicit_ring = testing::ring_of(kR, reg);
+  mc::CtlChecker reference(explicit_ring.structure());
+  EXPECT_EQ(checker.holds_initially(f), reference.holds_initially(f));
+  EXPECT_TRUE(ts->reachable_transitions_computed());
+}
+
 TEST(BudgetTrip, SeededRandomTripStress) {
   // Random formulas under random tight budgets, across both engines: any
   // trip must be one of the typed errors, the manager must audit clean,

@@ -15,6 +15,7 @@
 
 #include "../helpers.hpp"
 #include "symbolic/bdd.hpp"
+#include "symbolic/ring_encoding.hpp"
 #include "symbolic/transition_system.hpp"
 
 namespace ictl::symbolic {
@@ -71,6 +72,9 @@ struct AuditInjector {
   }
   static void corrupt_rename_map(TransitionSystem& ts) {
     std::swap(ts.to_primed_[0], ts.to_primed_[2]);
+  }
+  static void set_reachable_transitions(TransitionSystem& ts, BddRef relation) {
+    ts.restricted_ = std::move(relation);
   }
 };
 
@@ -324,6 +328,22 @@ TEST(TransitionSystemAudit, DetectsScheduleNotCoveringPrimedVars) {
   const auto report = ts.audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(mentions(report, "schedule cube"));
+}
+
+TEST(TransitionSystemAudit, DetectsStaleReachableRelation) {
+  // A cached reachable relation that is not transitions() & reachable() —
+  // here the unrestricted relation — would let every EX, EU and EG round
+  // step from unreachable states.
+  const SymbolicRing ring = build_symbolic_ring(4);
+  TransitionSystem& ts = *ring.system;
+  static_cast<void>(ts.reachable_pre_image(ts.reachable()));
+  ASSERT_TRUE(ts.reachable_transitions_computed());
+  EXPECT_TRUE(ts.audit().ok());
+  ASSERT_NE(ts.reachable_transitions(), ts.transitions());
+  AuditInjector::set_reachable_transitions(ts, BddRef(ts.manager(), ts.transitions()));
+  const auto report = ts.audit();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(mentions(report, "cached reachable relation"));
 }
 
 TEST(TransitionSystemAudit, DetectsCorruptRenameMaps) {
