@@ -49,15 +49,16 @@ class Checker {
   explicit Checker(typename Ops::Model model, CheckerOptions options = {})
       : ops_(std::forward<typename Ops::Model>(model)),
         compiler_(index_vector(ops_.model().index_set()), ops_.model().registry(),
-                  options.unknown_atoms_are_false),
+                  options.unknown_atoms_are_false, rotation_query()),
         evaluator_(ops_) {}
 
   // The evaluator refers to ops_, so a checker stays where it was built.
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
-  /// Satisfying set of a CTL state formula.  Index quantifiers expand over
-  /// the model's index set.  Throws LogicError outside the CTL fragment, on
+  /// Satisfying set of a CTL state formula.  Index quantifiers range over
+  /// the model's index set (expanded, or folded over a verified rotation —
+  /// see ProgramCompiler).  Throws LogicError outside the CTL fragment, on
   /// free index variables, and on unknown atoms unless the options read
   /// them as false.  The reference stays valid for the checker's lifetime.
   [[nodiscard]] const Set& sat(const logic::FormulaPtr& f) {
@@ -98,6 +99,16 @@ class Checker {
  private:
   static std::vector<std::uint32_t> index_vector(std::span<const std::uint32_t> indices) {
     return {indices.begin(), indices.end()};
+  }
+
+  /// The compiler's rotation question, for a backend that can fold; the
+  /// model answers on the compiler's first foldable quantifier.
+  ProgramCompiler::RotationQuery rotation_query() {
+    if constexpr (RotationFoldOps<Ops>) {
+      return [this] { return ops_.verified_rotation(); };
+    } else {
+      return nullptr;
+    }
   }
 
   Ops ops_;

@@ -35,6 +35,10 @@ const char* opcode_name(OpCode op) noexcept {
       return "eu";
     case OpCode::kEG:
       return "eg";
+    case OpCode::kOrbitAnd:
+      return "orbit_and";
+    case OpCode::kOrbitOr:
+      return "orbit_or";
   }
   return "?";
 }
@@ -114,6 +118,14 @@ std::string FixpointProgram::disassemble() const {
         out += "  ; gfp Z . ";
         append_reg(out, in.a);
         out += " & EX Z";
+        break;
+      case OpCode::kOrbitAnd:
+      case OpCode::kOrbitOr:
+        out += opcode_name(in.op);
+        out += ' ';
+        append_reg(out, in.a);
+        out += in.op == OpCode::kOrbitAnd ? "  ; fold & over the rotation"
+                                          : "  ; fold | over the rotation";
         break;
     }
     out += '\n';

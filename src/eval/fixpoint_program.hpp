@@ -11,10 +11,15 @@
 // frontier/gfp rounds symbolically) — so compiling changes *where* the
 // recursion lives, never the per-engine fixpoint algorithm.
 //
-// Index quantifiers are expanded at compile time over the index set the
-// compiler was built with.  Atoms, indexed atoms and `one P` stay leaves,
-// resolved at compile time to proposition ids (resolve_leaf in
-// program_compiler.hpp), so backends see ids, never names.
+// Index quantifiers are lowered at compile time over the index set the
+// compiler was built with: expanded into an and/or chain of one body per
+// index, or — on a model with a verified rotation π (the symbolic ring) and
+// a body that mentions no index but its own — compiled once, at the first
+// index, and folded over π by one kOrbitAnd/kOrbitOr.  Only a backend that
+// knows π executes the fold; the compiler never emits it for any other.
+// Atoms, indexed atoms and `one P` stay leaves, resolved at compile time to
+// proposition ids (resolve_leaf in program_compiler.hpp), so backends see
+// ids, never names.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +45,12 @@ enum class OpCode : std::uint8_t {
   kEX,          ///< dst = EX a
   kEU,          ///< dst = lfp Z . b | (a & EX Z)   — fixpoint loop header
   kEG,          ///< dst = gfp Z . a & EX Z         — fixpoint loop header
+  kOrbitAnd,    ///< dst = a & π(a) & π²(a) & ...   — fold over the rotation
+  kOrbitOr,     ///< dst = a | π(a) | π²(a) | ...   — fold over the rotation
 };
 
 /// Number of OpCode values — sizes per-opcode stat arrays (EvalStats).
-inline constexpr std::size_t kNumOpCodes = 10;
+inline constexpr std::size_t kNumOpCodes = 12;
 
 /// Stable lowercase mnemonic ("true", "and", "eu", ...) — the label used by
 /// disassembly, per-opcode evaluator spans, and bench counters alike.  The

@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "logic/classify.hpp"
 #include "logic/printer.hpp"
 #include "logic/rewrite.hpp"
 #include "obs/obs.hpp"
@@ -22,10 +23,11 @@ class Emitter {
  public:
   Emitter(const std::vector<std::uint32_t>& index_set,
           const kripke::PropRegistry& registry, bool unknown_atoms_are_false,
-          ProgramCompiler::Stats& stats)
+          const ProgramCompiler::RotationQuery& rotation, ProgramCompiler::Stats& stats)
       : index_set_(index_set),
         registry_(registry),
         unknown_atoms_are_false_(unknown_atoms_are_false),
+        rotation_(rotation),
         stats_(stats) {
     code_.reserve(16);
   }
@@ -133,6 +135,10 @@ class Emitter {
         "indices: " +
             logic::to_string(f));
     const bool forall = f->kind() == Kind::kForallIndex;
+    if (folds(f)) {
+      const FormulaPtr first = logic::bind_index(f->lhs(), f->name(), index_set_.front());
+      return emit(forall ? OpCode::kOrbitAnd : OpCode::kOrbitOr, lower(first), 0);
+    }
     Reg acc = 0;
     bool first = true;
     for (const std::uint32_t i : index_set_) {
@@ -142,6 +148,18 @@ class Emitter {
       first = false;
     }
     return acc;
+  }
+
+  /// Whether index quantifier `f` folds over the rotation: its body names
+  /// no index constant and no index variable but its own, and the model's
+  /// rotation is verified — asked last, so only such a body pays for it.
+  bool folds(const FormulaPtr& f) const {
+    if (!rotation_) return false;
+    const FormulaPtr& body = f->lhs();
+    if (logic::has_concrete_indexed_atoms(body)) return false;
+    for (const std::string& var : logic::free_index_vars(body))
+      if (var != f->name()) return false;
+    return rotation_();
   }
 
   Reg emit_leaf(const FormulaPtr& f) {
@@ -194,6 +212,7 @@ class Emitter {
   const std::vector<std::uint32_t>& index_set_;
   const kripke::PropRegistry& registry_;
   bool unknown_atoms_are_false_;
+  const ProgramCompiler::RotationQuery& rotation_;
   ProgramCompiler::Stats& stats_;
   std::vector<Instruction> code_;  // SSA: instruction i defines value i
   std::vector<Leaf> leaves_;
@@ -304,10 +323,12 @@ Leaf resolve_leaf(const kripke::PropRegistry& registry, const FormulaPtr& f,
 
 ProgramCompiler::ProgramCompiler(std::vector<std::uint32_t> index_set,
                                  std::shared_ptr<const kripke::PropRegistry> registry,
-                                 bool unknown_atoms_are_false)
+                                 bool unknown_atoms_are_false,
+                                 RotationQuery rotation)
     : index_set_(std::move(index_set)),
       registry_(std::move(registry)),
-      unknown_atoms_are_false_(unknown_atoms_are_false) {
+      unknown_atoms_are_false_(unknown_atoms_are_false),
+      rotation_(std::move(rotation)) {
   support::require<LogicError>(registry_ != nullptr,
                                "ProgramCompiler: null proposition registry");
 }
@@ -326,7 +347,7 @@ std::shared_ptr<const FixpointProgram> ProgramCompiler::compile(
   // Below the cache hit: a memoized return is not a compilation.
   ICTL_PROFILE("eval", "compile");
   [[maybe_unused]] const std::size_t cse_hits_before = stats_.cse_hits;
-  Emitter emitter(index_set_, *registry_, unknown_atoms_are_false_, stats_);
+  Emitter emitter(index_set_, *registry_, unknown_atoms_are_false_, rotation_, stats_);
   const Reg root_value = emitter.lower(f);
   auto program = emitter.finish(root_value, f);
   ++stats_.programs_compiled;

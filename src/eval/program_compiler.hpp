@@ -17,15 +17,24 @@
 // BDD roots), so dead-slot reuse is what keeps evaluation memory flat.
 //
 // Index quantifiers (/\i, \/i) expand over the compiler's index set into
-// and/or chains of bind_index instances; atoms and `one P` stay leaves,
-// resolved here once to proposition ids (resolve_leaf) so backends never
-// see a name.  Compilation throws LogicError on non-state formulas, unbound
-// index variables, index quantifiers over an empty index set, and unknown
-// atoms unless they read as false — the same conditions the recursive
-// checkers rejected.
+// and/or chains of bind_index instances — unless the model has a verified
+// rotation π (asked through the compiler's RotationQuery, on the first
+// quantifier that could use it) and the body names no index constant and
+// no index variable but its own.  Such a quantifier compiles its body once,
+// at the first index, followed by one kOrbitAnd (/\i) or kOrbitOr (\/i)
+// that folds the body's satisfying set over π: since π maps sat(g(k)) to
+// sat(g(k+1)), the fold is the conjunction (disjunction) over every index.
+// Without a RotationQuery — the explicit and naive checkers — or when π
+// fails verification, every quantifier expands.  Atoms and `one P` stay
+// leaves, resolved here once to proposition ids (resolve_leaf) so backends
+// never see a name.  Compilation throws LogicError on non-state formulas,
+// unbound index variables, index quantifiers over an empty index set, and
+// unknown atoms unless they read as false — the same conditions the
+// recursive checkers rejected.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -52,13 +61,20 @@ namespace ictl::eval {
 
 class ProgramCompiler {
  public:
+  /// Whether the model has a verified rotation over the index set, in its
+  /// order, the last index wrapping to the first (for the symbolic engine,
+  /// TransitionSystem::verified_rotation).  Null: none, every quantifier
+  /// expands.
+  using RotationQuery = std::function<bool()>;
+
   /// `index_set` is the structure's process-index universe, captured once:
   /// compiled programs bake its expansion in, exactly like the recursive
   /// checkers expanded quantifiers against their structure's index set.
   /// Every leaf resolves against `registry` (required) at compile time.
   ProgramCompiler(std::vector<std::uint32_t> index_set,
                   std::shared_ptr<const kripke::PropRegistry> registry,
-                  bool unknown_atoms_are_false = false);
+                  bool unknown_atoms_are_false = false,
+                  RotationQuery rotation = nullptr);
 
   /// Compiles `f` (cached by Formula::id) into an immutable shared program.
   [[nodiscard]] std::shared_ptr<const FixpointProgram> compile(
@@ -81,6 +97,7 @@ class ProgramCompiler {
   std::vector<std::uint32_t> index_set_;
   std::shared_ptr<const kripke::PropRegistry> registry_;
   bool unknown_atoms_are_false_;
+  RotationQuery rotation_;
   // Program cache keyed on hash-consed node identity; each cached program
   // retains its root formula, which keeps the DAG's cons-table entries
   // alive so structurally equal rebuilds still hit this cache.

@@ -115,6 +115,13 @@ class ProgramEvaluator {
         count_fixpoint();
         return value;
       }
+      case OpCode::kOrbitAnd:
+      case OpCode::kOrbitOr:
+        if constexpr (RotationFoldOps<Ops>) {
+          return ops_.orbit_fold(regs[in.a], in.op == OpCode::kOrbitAnd);
+        } else {
+          throw LogicError("ProgramEvaluator: this backend cannot fold over a rotation");
+        }
     }
     throw LogicError("ProgramEvaluator: corrupt opcode");
   }

@@ -52,6 +52,21 @@ concept StateSetOps =
     };
 // clang-format on
 
+/// A backend that also folds a set over its model's rotation π — the
+/// kOrbitAnd/kOrbitOr instructions.  Optional: the checker gives its
+/// compiler `verified_rotation()` only for such a backend, and the compiler
+/// emits a fold only when that answered true, so no other backend ever sees
+/// one.  `orbit_fold(s, true)` is s & π(s) & π²(s) & ..., and
+/// `orbit_fold(s, false)` the union.
+// clang-format off
+template <typename O>
+concept RotationFoldOps =
+    StateSetOps<O> && requires(O ops, const typename O::Set& s) {
+      { ops.verified_rotation() } -> std::same_as<bool>;
+      { ops.orbit_fold(s, true) } -> std::same_as<typename O::Set>;
+    };
+// clang-format on
+
 /// Per-checker evaluation counters, accumulated across program runs by
 /// ProgramEvaluator and surfaced by the checker façades.
 struct EvalStats {

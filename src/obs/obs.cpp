@@ -22,6 +22,34 @@ std::uint64_t now_ns() {
 
 void set_enabled(bool on) noexcept { detail::g_enabled = kCompiledIn && on; }
 
+void append_json_string(std::ostream& out, std::string_view s) {
+  out << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out << "\\\"";
+        break;
+      case '\\':
+        out << "\\\\";
+        break;
+      case '\n':
+        out << "\\n";
+        break;
+      case '\t':
+        out << "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          const char* hex = "0123456789abcdef";
+          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
+        } else {
+          out << c;
+        }
+    }
+  }
+  out << '"';
+}
+
 // ---- Registry ---------------------------------------------------------------
 
 namespace {
@@ -66,7 +94,8 @@ std::string Registry::to_json() const {
   for (const auto& [path, cell] : cells_) {
     if (!first) out << ", ";
     first = false;
-    out << '"' << path << "\": " << cell.value;
+    append_json_string(out, path);
+    out << ": " << cell.value;
   }
   out << "}}";
   return out.str();
@@ -235,8 +264,11 @@ std::size_t trace_stop(std::ostream& out) {
   for (const TraceEvent& event : state.events) {
     if (!first) out << ",";
     first = false;
-    out << "\n  {\"name\": \"" << event.name << "\", \"cat\": \"" << event.cat
-        << "\", \"ph\": \"" << event.phase << "\", \"ts\": "
+    out << "\n  {\"name\": ";
+    append_json_string(out, event.name);
+    out << ", \"cat\": ";
+    append_json_string(out, event.cat);
+    out << ", \"ph\": \"" << event.phase << "\", \"ts\": "
         // Trace-event timestamps are microseconds; keep sub-µs precision as
         // a fraction so distinct events never collapse onto one tick.
         << (static_cast<double>(event.ts_ns) / 1000.0)
@@ -247,7 +279,8 @@ std::size_t trace_stop(std::ostream& out) {
       for (const TraceArg& arg : event.args) {
         if (!first_arg) out << ", ";
         first_arg = false;
-        out << '"' << arg.key << "\": " << arg.value;
+        append_json_string(out, arg.key);
+        out << ": " << arg.value;
       }
       out << '}';
     }

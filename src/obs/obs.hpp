@@ -53,6 +53,12 @@ inline constexpr bool kCompiledIn = false;
 /// Monotonic nanoseconds since an arbitrary epoch — the library's one clock.
 [[nodiscard]] std::uint64_t now_ns();
 
+/// Writes `s` to `out` as a JSON string literal: quoted, with `"`, `\` and
+/// every control character escaped.  The one escaper behind every JSON the
+/// library writes — the counter export, the Chrome trace and rt's trip
+/// reports.
+void append_json_string(std::ostream& out, std::string_view s);
+
 namespace detail {
 extern bool g_enabled;  // written by set_enabled / trace_start only
 }

@@ -27,33 +27,7 @@ namespace {
 // The single installed-budget slot behind current_budget()/BudgetScope.
 ResourceBudget* g_current_budget = nullptr;
 
-void append_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
+using obs::append_json_string;
 
 std::string build_report(
     std::string_view kind, std::string_view phase, std::string_view what,

@@ -832,6 +832,7 @@ BddRef BddManager::rename(Bdd f, const std::vector<std::uint32_t>& map) {
     rename_stamp_.resize(nodes_.size(), 0);
     rename_val_.resize(nodes_.size(), kBddFalse);
   }
+  ensure_cache();  // a map that breaks the order runs ite_rec
   BddRef result(*this, rename_rec(f, map));
   run_deferred_maintenance();
   return result;
@@ -846,8 +847,16 @@ Bdd BddManager::rename_rec(Bdd f, const std::vector<std::uint32_t>& map) {
   ICTL_ASSERT(n.var < map.size());
   const Bdd lo = rename_rec(n.low, map);
   const Bdd hi = rename_rec(n.high, map);
-  // mk asserts the order invariant, catching non-order-preserving maps.
-  const Bdd result = mk(map[n.var], lo, hi);
+  const std::uint32_t v = map[n.var];
+  ICTL_ASSERT(v < num_vars_);
+  // Order kept at this node: rebuild it directly.  Otherwise the renamed
+  // variable lies below part of a child's cone, and an ITE on its literal
+  // sinks it into place (ite_rec, not the public ite — no maintenance may
+  // run while this recursion holds unrooted handles).
+  const std::uint32_t lv = var2level_[v];
+  const Bdd result = lv < level(lo) && lv < level(hi)
+                         ? mk(v, lo, hi)
+                         : ite_rec(mk(v, kBddFalse, kBddTrue), hi, lo);
   rename_stamp_[f] = rename_epoch_;
   rename_val_[f] = result;
   return result;

@@ -185,10 +185,14 @@ class BddManager {
   /// levels with the unprimed variable on top.
   [[nodiscard]] BddRef pair_pre_image(Bdd relation, Bdd set);
 
-  /// Renames variable v to `map[v]` for every v in the support of f.  The
-  /// map must be order-preserving on the support under the CURRENT level
-  /// assignment (the primed/unprimed interleaving is, and group-sifted
-  /// reorders keep it so); violating maps trip the node-order assertion.
+  /// Renames variable v to `map[v]` for every v in the support of f: the
+  /// result is f with each x_v read as x_map[v].  Any map is accepted, a
+  /// permutation that does not preserve the order included (the ring
+  /// rotation wraps the last process onto the first).  At a node where the
+  /// map keeps the order under the CURRENT level assignment — the renamed
+  /// variable still above both renamed children — the node costs one mk,
+  /// as for the prime/unprime maps; elsewhere it costs an ITE on the renamed
+  /// variable's literal.
   [[nodiscard]] BddRef rename(Bdd f, const std::vector<std::uint32_t>& map);
 
   // ---- Liveness ------------------------------------------------------------
@@ -294,8 +298,9 @@ class BddManager {
     double max_growth;
     /// Sift (2k, 2k+1) variable pairs as atomic blocks — REQUIRED whenever
     /// the manager carries a TransitionSystem's unprimed/primed interleaving
-    /// (rename's order-preservation depends on it).  Needs an even variable
-    /// count and pairwise-adjacent levels.
+    /// (pair_pre_image and saturation need adjacent pairs, and the
+    /// prime/unprime renames stay one mk per node only while the pairs are
+    /// adjacent).  Needs an even variable count and pairwise-adjacent levels.
     bool group_pairs;
     /// Stop the pass once this many node rewrites have been spent (the
     /// CUDD siftMaxSwap analogue): blocks are visited most-populous first,

@@ -1,6 +1,8 @@
 // CTL model checking by symbolic fixpoints (McMillan-style) over a
 // symbolic::TransitionSystem — the BDD twin of mc::CtlChecker: the same
-// eval::Checker façade (eval/checker.hpp), compiling the *same* programs,
+// eval::Checker façade (eval/checker.hpp), compiling the same programs —
+// except that on a system with a verified rotation an index quantifier whose
+// body names only its own index compiles once and folds over the rotation —
 // over SymbolicStateOps, whose registers are BddRef roots (GC/reorder-safe
 // for exactly as long as a slot is live) and whose fixpoint instructions
 // run frontier EU and gfp EG with protect_scope() around each iteration

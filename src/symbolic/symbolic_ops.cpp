@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
@@ -120,6 +121,24 @@ Set SymbolicStateOps::eg(const Set& f) {
       return z;
     }
     z = std::move(next);
+  }
+}
+
+Set SymbolicStateOps::orbit_fold(const Set& s, bool conjunctive) const {
+  ICTL_PROFILE("sym", "orbit_fold");
+  BddManager& m = system_->manager();
+  const std::vector<std::uint32_t>& pi = system_->rotation();
+  // After n steps acc holds the fold of s, π(s), ..., π^n(s); once π leaves
+  // it unchanged it is the fold over the whole orbit, at most r - 1 steps
+  // in.  A set that is already π-invariant stops after one.
+  BddRef acc = s;
+  while (true) {
+    rt::charge_iteration("sym/orbit_fold");
+    ICTL_FAILPOINT("sym/orbit_step");
+    ICTL_COUNT("sym", "orbit_steps");
+    BddRef image = m.rename(acc, pi);
+    if (image.get() == acc.get()) return acc;
+    acc = conjunctive ? m.bdd_and(acc, image) : m.bdd_or(acc, image);
   }
 }
 

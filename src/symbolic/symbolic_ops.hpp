@@ -11,6 +11,10 @@
 // eu/eg fixpoints each iteration body additionally runs under a
 // protect_scope(), so GC, sifting and the node budget never fire mid-chain:
 // what a round defers runs at the first operation after the fixpoint.
+//
+// The backend also models eval::RotationFoldOps: it answers whether the
+// system's ring rotation is verified and folds a set over it, so the
+// checker compiles `forall i`/`exists i` bodies once, at the first index.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +59,16 @@ class SymbolicStateOps {
   [[nodiscard]] Set eu(const Set& f, const Set& g);
   /// EG f: greatest fixpoint of Z = f & EX Z from above.
   [[nodiscard]] Set eg(const Set& f);
+
+  /// Whether the system's ring rotation π checks out
+  /// (TransitionSystem::verified_rotation) — the checker's compiler asks on
+  /// its first quantifier that could fold.
+  [[nodiscard]] bool verified_rotation() const { return system_->verified_rotation(); }
+  /// s & π(s) & π²(s) & ... when `conjunctive`, by acc <- acc & π(acc)
+  /// until π(acc) = acc; the union otherwise.  With s = sat(g(first index))
+  /// this is sat(forall i. g), respectively sat(exists i. g).  Needs a
+  /// verified rotation.
+  [[nodiscard]] Set orbit_fold(const Set& s, bool conjunctive) const;
 
   /// Fixpoint rounds taken by the most recent eu/eg call.
   [[nodiscard]] std::uint64_t last_fixpoint_iterations() const noexcept {

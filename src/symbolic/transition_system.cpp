@@ -489,6 +489,95 @@ std::optional<Bdd> TransitionSystem::prop_states(kripke::PropId p) const {
   return it->second.get();
 }
 
+// ---- Rotation symmetry ------------------------------------------------------
+
+std::vector<std::uint32_t> TransitionSystem::derive_rotation() const {
+  const std::size_t r = index_set_.size();
+  if (r == 0 || registry_ == nullptr) return {};
+  std::unordered_map<std::uint32_t, std::size_t> position;
+  for (std::size_t j = 0; j < r; ++j)
+    if (!position.emplace(index_set_[j], j).second) return {};
+  // owner[v]: the position of the one index whose propositions mention
+  // state variable v, kNone when none does, kShared when several do.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  constexpr std::size_t kShared = kNone - 1;
+  std::vector<std::size_t> owner(num_state_vars_, kNone);
+  for (const auto& [prop, fn] : props_) {
+    if (registry_->kind(prop) != kripke::PropKind::kIndexed) continue;
+    const auto it = position.find(registry_->index_of(prop));
+    if (it == position.end()) return {};
+    for (const std::uint32_t bdd_var : mgr_->support_vars(fn)) {
+      if (bdd_var >= 2 * num_state_vars_ || bdd_var % 2 != 0) return {};
+      std::size_t& o = owner[bdd_var / 2];
+      o = o == kNone || o == it->second ? it->second : kShared;
+    }
+  }
+  std::vector<std::vector<std::uint32_t>> owned(r);
+  for (std::uint32_t v = 0; v < num_state_vars_; ++v)
+    if (owner[v] < r) owned[owner[v]].push_back(v);
+  for (const auto& vars : owned)
+    if (vars.size() != owned.front().size()) return {};
+  std::vector<std::uint32_t> map(mgr_->num_vars());
+  for (std::uint32_t v = 0; v < map.size(); ++v) map[v] = v;
+  for (std::size_t j = 0; j < r; ++j)
+    for (std::size_t t = 0; t < owned[j].size(); ++t) {
+      const std::uint32_t from = owned[j][t];
+      const std::uint32_t to = owned[(j + 1) % r][t];
+      map[unprimed(from)] = unprimed(to);
+      map[primed(from)] = primed(to);
+    }
+  return map;
+}
+
+std::vector<std::uint32_t> TransitionSystem::verify_rotation() const {
+  std::vector<std::uint32_t> map = derive_rotation();
+  if (map.empty()) return map;
+  const auto maps_to = [&](Bdd f, Bdd image) {
+    return mgr_->rename(f, map).get() == image;
+  };
+  const auto next_index = [&](std::uint32_t k) {
+    const auto at = std::find(index_set_.begin(), index_set_.end(), k);
+    ICTL_ASSERT(at != index_set_.end());  // derive_rotation saw every index
+    const auto j = static_cast<std::size_t>(at - index_set_.begin());
+    return index_set_[(j + 1) % index_set_.size()];
+  };
+  // Cheapest first: the labels, then the reachable set, then the relation.
+  bool holds = true;
+  for (const auto& [prop, fn] : props_) {
+    if (registry_->kind(prop) != kripke::PropKind::kIndexed) {
+      holds = maps_to(fn, fn);
+    } else {
+      const auto image = registry_->find_indexed(registry_->base_name(prop),
+                                                 next_index(registry_->index_of(prop)));
+      const std::optional<Bdd> target =
+          image.has_value() ? prop_states(*image) : std::nullopt;
+      holds = target.has_value() && maps_to(fn, *target);
+    }
+    if (!holds) break;
+  }
+  holds = holds && maps_to(reachable(), reachable()) &&
+          maps_to(reachable_transitions(), reachable_transitions());
+  if (!holds) map.clear();
+  return map;
+}
+
+bool TransitionSystem::verified_rotation() const {
+  if (!rotation_.has_value()) {
+    ICTL_PROFILE("sym", "verify_rotation");
+    ICTL_COUNT("sym", "rotation_verifications");
+    // Assigned only once every check has passed its maintenance point, so
+    // a budget trip caches no verdict.
+    rotation_ = verify_rotation();
+  }
+  return !rotation_->empty();
+}
+
+const std::vector<std::uint32_t>& TransitionSystem::rotation() const {
+  support::require<Error>(verified_rotation(),
+                          "TransitionSystem::rotation: no verified rotation");
+  return *rotation_;
+}
+
 // ---- Deep audit -------------------------------------------------------------
 
 BddManager::AuditReport TransitionSystem::audit() const {
@@ -601,6 +690,10 @@ BddManager::AuditReport TransitionSystem::audit() const {
   if (restricted_.has_value() &&
       mgr_->bdd_and(transitions(), reachable()).get() != restricted_->get())
     fail("cached reachable relation is not transitions() & reachable()");
+
+  // A cached rotation verdict is re-derived and re-verified anew.
+  if (rotation_.has_value() && verify_rotation() != *rotation_)
+    fail("cached rotation is not what a fresh derivation and verification give");
   return report;
 }
 

@@ -23,6 +23,16 @@
 // unreachable encodings only to intersect them away.  Orders that separate
 // an (x, x') pair fall back to rename + and_exists.
 //
+// Rotation symmetry: verified_rotation() derives the ring rotation π, a
+// BDD-variable permutation taking each process's variables to the next
+// process's, from the supports of the indexed propositions — one path for
+// built and store-loaded systems — and checks once, by handle equality,
+// that π fixes the reachable-restricted relation and the reachable set,
+// maps each P_k to P_{k+1} and fixes every other proposition.  The
+// symbolic checker folds `forall i`/`exists i` over a verified π instead of
+// expanding them (eval/program_compiler.hpp); a system that fails the
+// check never folds.
+//
 // Lifetimes: everything the system retains — initial set, partition,
 // prop functions, quantification cubes, the cached monolithic and
 // reachable-restricted relations and reachable set — is held in BddRef
@@ -173,11 +183,38 @@ class TransitionSystem {
   };
   [[nodiscard]] std::vector<SaturationEvent> saturation_events(std::size_t part) const;
 
+  /// Whether the ring rotation π is an automorphism of this system, checked
+  /// on first call and cached.  π is a BDD-variable permutation derived
+  /// from the indexed propositions' supports: a state variable belongs to
+  /// index k when, among the indexed propositions, only index-k ones mention
+  /// it; the j-th variable of the k-th index in index_set() goes to the j-th
+  /// of the next, the last index wrapping to the first, primed partners
+  /// alike, and every variable no single index owns stays fixed.  π is
+  /// verified by handle equality — π(reachable_transitions()) and
+  /// π(reachable()) unchanged, π(P_k) = P_next(k) for every indexed
+  /// proposition and π(Q) = Q for every other — so nothing about it is
+  /// trusted from a builder or a store blob.  When it holds, sat(g(next(k)))
+  /// = π(sat(g(k))) for any formula g over index k's atoms, which is what
+  /// lets the symbolic checker evaluate a `forall i`/`exists i` body at one
+  /// index and fold it over π.  False when indices own different numbers of
+  /// variables, an indexed proposition names an index outside index_set(),
+  /// or any check fails.  A budget trip while it runs caches nothing.
+  [[nodiscard]] bool verified_rotation() const;
+
+  /// π as a rename map over every manager variable; requires
+  /// verified_rotation() to have returned true.
+  [[nodiscard]] const std::vector<std::uint32_t>& rotation() const;
+
+  /// Whether verified_rotation() has a cached verdict.
+  [[nodiscard]] bool rotation_checked() const noexcept { return rotation_.has_value(); }
+
   /// Installs a precomputed reachable set (the bdd_store loader's path:
-  /// reload a saved fixpoint instead of recomputing it).
+  /// reload a saved fixpoint instead of recomputing it).  Drops the caches
+  /// that depend on it: the restricted relation and the rotation verdict.
   void adopt_reachable(Bdd reach) const {
     reachable_ = BddRef(*mgr_, reach);
     restricted_.reset();
+    rotation_.reset();
   }
 
   /// Whether reachable() has already been computed (or adopted) — lets the
@@ -222,8 +259,9 @@ class TransitionSystem {
   /// inverses over the state pairs, the early-quantification schedule
   /// quantifies each variable exactly at the last part mentioning it, and —
   /// once computed — reachable() contains the initial states and is closed
-  /// under post_image, and reachable_transitions() equals transitions() &
-  /// reachable().
+  /// under post_image, reachable_transitions() equals transitions() &
+  /// reachable(), and a cached rotation verdict is the one a fresh
+  /// derivation and verification give.
   [[nodiscard]] BddManager::AuditReport audit() const;
 
   /// Throws Error listing every failure when audit() fails.  The ICTL_AUDIT
@@ -245,6 +283,13 @@ class TransitionSystem {
   /// which a store reload would otherwise pay.
   void require_state_support() const;
 
+  /// The rotation candidate, derived from the indexed propositions'
+  /// supports; empty when there is none.
+  [[nodiscard]] std::vector<std::uint32_t> derive_rotation() const;
+  /// The candidate if it passes verified_rotation()'s handle-equality
+  /// checks, else empty.
+  [[nodiscard]] std::vector<std::uint32_t> verify_rotation() const;
+
   std::shared_ptr<BddManager> mgr_;
   std::uint32_t num_state_vars_;
   BddRef initial_;
@@ -265,6 +310,8 @@ class TransitionSystem {
   mutable std::optional<BddRef> monolithic_;
   mutable std::optional<BddRef> restricted_;  // reachable_transitions()
   mutable std::optional<BddRef> reachable_;
+  // verified_rotation(): unset until checked, then π, or empty when it failed.
+  mutable std::optional<std::vector<std::uint32_t>> rotation_;
   // fused_pre_images() and the reorder epoch it was last read at.
   mutable bool fused_ = false;
   mutable std::optional<std::uint64_t> fused_epoch_;

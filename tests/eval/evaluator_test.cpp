@@ -108,22 +108,75 @@ TEST(ProgramEvaluator, NaiveBackendRunsTheIdenticalProgram) {
   EXPECT_TRUE(a.run(*program) == b.run(*program));
 }
 
+/// Index quantifiers in `f`'s syntax tree.
+std::size_t quantifiers(const logic::FormulaPtr& f) {
+  if (f == nullptr) return 0;
+  const bool q = f->kind() == logic::Kind::kForallIndex ||
+                 f->kind() == logic::Kind::kExistsIndex;
+  return (q ? 1 : 0) + quantifiers(f->lhs()) + quantifiers(f->rhs());
+}
+
+std::size_t count_op(const FixpointProgram& p, OpCode op) {
+  std::size_t n = 0;
+  for (const Instruction& in : p.code) n += in.op == op ? 1 : 0;
+  return n;
+}
+
 TEST(ProgramEvaluator, FacadesCompileTheSameProgramAcrossEngines) {
   // mc::CtlChecker and symbolic::CtlChecker compile independently (their
-  // compilers are per-checker), but for the same formula DAG and index set
-  // they must produce byte-identical programs — the artifact a future
-  // verification server caches per (structure fingerprint, formula id).
+  // compilers are per-checker).  For the same formula DAG and index set
+  // they produce byte-identical programs — the artifact a future
+  // verification server caches per (structure fingerprint, formula id) —
+  // except where the symbolic model's rotation is verified and an index
+  // quantifier's body names no index but its own: there the symbolic
+  // program evaluates the body at the first index and folds it over the
+  // rotation.
   const std::uint32_t r = 3;
   auto reg = kripke::make_registry();
   const auto explicit_sys = testing::ring_of(r, reg);
   const auto sym = symbolic::build_symbolic_ring(r, nullptr, reg);
   mc::CtlChecker explicit_checker(explicit_sys.structure());
   symbolic::CtlChecker symbolic_checker(sym.system);
+
+  // No qualifying quantifier: identical programs, even on the verified ring.
+  for (const char* text : {"A G (one t)", "E G !c[1]", "A G (c[2] -> t[2])",
+                           "forall i. A G (t[i] -> !c[1])"}) {
+    const auto f = parse_formula(text);
+    EXPECT_EQ(explicit_checker.program(f)->disassemble(),
+              symbolic_checker.program(f)->disassemble())
+        << text;
+  }
+
+  // A symbolic system whose rotation fails verification: identical programs.
+  const auto asymmetric =
+      testing::asymmetric_ring(r, reg, testing::Asymmetry::kRelabelledD1);
+  symbolic::CtlChecker asymmetric_checker(asymmetric);
+  for (const auto& [name, f] : testing::section_five_properties()) {
+    const auto pe = explicit_checker.program(f);
+    const auto pa = asymmetric_checker.program(f);
+    EXPECT_EQ(pe->disassemble(), pa->disassemble()) << name;
+    EXPECT_EQ(pe->formula_id, pa->formula_id) << name;
+  }
+  EXPECT_FALSE(asymmetric->verified_rotation());
+
+  // The verified ring: one fold per quantifier, and 1/r of the explicit
+  // program's leaf and fixpoint instructions.
+  ASSERT_TRUE(sym.system->verified_rotation());
   for (const auto& [name, f] : testing::section_five_properties()) {
     const auto pe = explicit_checker.program(f);
     const auto ps = symbolic_checker.program(f);
-    EXPECT_EQ(pe->disassemble(), ps->disassemble()) << name;
     EXPECT_EQ(pe->formula_id, ps->formula_id) << name;
+    const std::size_t q = quantifiers(f);
+    EXPECT_EQ(count_op(*ps, OpCode::kOrbitAnd) + count_op(*ps, OpCode::kOrbitOr), q)
+        << name;
+    EXPECT_EQ(count_op(*pe, OpCode::kOrbitAnd) + count_op(*pe, OpCode::kOrbitOr), 0u)
+        << name;
+    if (q == 0) {
+      EXPECT_EQ(pe->disassemble(), ps->disassemble()) << name;
+      continue;
+    }
+    EXPECT_EQ(count_op(*ps, OpCode::kLeaf) * r, count_op(*pe, OpCode::kLeaf)) << name;
+    EXPECT_EQ(ps->num_fixpoint_ops() * r, pe->num_fixpoint_ops()) << name;
   }
 }
 

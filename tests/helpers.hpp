@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -124,6 +125,51 @@ inline std::vector<ring::RingSystem> ring_family(
 inline std::vector<std::pair<std::string, logic::FormulaPtr>>
 section_five_properties() {
   return ring::section5_specifications();
+}
+
+/// How asymmetric_ring breaks the ring's rotation symmetry.
+enum class Asymmetry {
+  kExtraRule,     ///< one extra rule instance: process 1 may drop its request
+  kRelabelledD1,  ///< d[1] also labels the states where process 1 holds the token
+};
+
+/// The symbolic M_r with one asymmetric process, on propositions registered
+/// in `reg`: its rotation must fail verification.  kExtraRule leaves the
+/// labels and the reachable set alone and breaks only the relation;
+/// kRelabelledD1 breaks only a label.
+inline std::shared_ptr<const symbolic::TransitionSystem> asymmetric_ring(
+    std::uint32_t r, kripke::PropRegistryPtr reg, Asymmetry how) {
+  using symbolic::TransitionSystem;
+  const symbolic::SymbolicRing ring = symbolic::build_symbolic_ring(r, nullptr, reg);
+  const TransitionSystem& ts = *ring.system;
+  symbolic::BddManager& m = ts.manager();
+  std::vector<symbolic::BddRef> roots(ts.partition().begin(), ts.partition().end());
+  std::vector<std::pair<kripke::PropId, symbolic::BddRef>> props(ts.props().begin(),
+                                                                 ts.props().end());
+  const std::uint32_t d1 = symbolic::SymbolicRing::delayed_var(1);
+  if (how == Asymmetry::kExtraRule) {
+    symbolic::BddRef rule =
+        m.bdd_and(m.var(TransitionSystem::unprimed(d1)), m.nvar(TransitionSystem::primed(d1)));
+    for (std::uint32_t v = 0; v < ts.num_state_vars(); ++v)
+      if (v != d1)
+        rule = m.bdd_and(rule, m.bdd_iff(m.var(TransitionSystem::unprimed(v)),
+                                         m.var(TransitionSystem::primed(v))));
+    roots.push_back(rule);
+  } else {
+    const kripke::PropId d1_prop = *reg->find_indexed("d", 1);
+    const std::uint32_t h1 = symbolic::SymbolicRing::holder_var(1);
+    for (auto& [p, fn] : props)
+      if (p == d1_prop)
+        fn = m.bdd_or(m.var(TransitionSystem::unprimed(d1)),
+                      m.var(TransitionSystem::unprimed(h1)));
+  }
+  std::vector<symbolic::Bdd> parts(roots.begin(), roots.end());
+  std::vector<std::pair<kripke::PropId, symbolic::Bdd>> prop_fns;
+  for (const auto& [p, fn] : props) prop_fns.emplace_back(p, fn.get());
+  return std::make_shared<const TransitionSystem>(
+      ring.system->manager_ptr(), ts.num_state_vars(), ts.initial(), std::move(parts),
+      symbolic::PartitionKind::kDisjunctive, std::move(reg), std::move(prop_fns),
+      std::vector<std::uint32_t>(ts.index_set().begin(), ts.index_set().end()));
 }
 
 }  // namespace ictl::testing

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/obs.hpp"
 
@@ -74,6 +75,20 @@ TEST(ObsRegistry, ToJsonWrapsCountersObject) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"bdd/gc_runs\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"sym/frontier_rounds\": 11"), std::string::npos);
+}
+
+TEST(ObsRegistry, ToJsonEscapesCounterPaths) {
+  // Registry::counter takes any string_view: a quote, a backslash and a
+  // control character in a path must come out as JSON escapes.
+  Registry reg;
+  reg.set("odd", "a\"b\\c\x01" "d", 7);
+  EXPECT_EQ(reg.to_json(), "{\"counters\": {\"odd/a\\\"b\\\\c\\u0001d\": 7}}");
+}
+
+TEST(ObsJson, AppendJsonStringEscapesEveryControlCharacter) {
+  std::ostringstream out;
+  append_json_string(out, std::string_view("q\"s\\n\nt\t\x1f.", 10));
+  EXPECT_EQ(out.str(), "\"q\\\"s\\\\n\\nt\\t\\u001f.\"");
 }
 
 TEST(ObsRegistry, ResetZeroesButKeepsReferencesValid) {
@@ -161,6 +176,19 @@ TEST_F(ObsRecordingTest, TraceEmitsBalancedPairsWithArgs) {
   EXPECT_NE(json.find("\"ph\": \"E\""), std::string::npos);
   EXPECT_NE(json.find("\"parts\": 12"), std::string::npos);   // B-event arg
   EXPECT_NE(json.find("\"rounds\": 3"), std::string::npos);   // E-event arg
+}
+
+TEST_F(ObsRecordingTest, TraceEscapesSpanNamesScopesAndArgKeys) {
+  // Span strings need static storage; these literals carry a quote, a
+  // backslash and a control character into every escaped field.
+  std::stringstream out;
+  trace_start();
+  { SpanGuard span("s\\c", "n\"a\\m\x01" "e", "k\"ey", 5); }
+  trace_stop(out);
+  const std::string json = out.str();
+  EXPECT_NE(json.find("\"name\": \"n\\\"a\\\\m\\u0001e\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"cat\": \"s\\\\c\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"k\\\"ey\": 5"), std::string::npos) << json;
 }
 
 TEST_F(ObsRecordingTest, TraceStopRestoresThePriorEnableState) {

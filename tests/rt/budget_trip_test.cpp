@@ -392,6 +392,80 @@ TEST(BudgetTrip, NodeCapWhileTheReachableRelationIsBuiltCachesNothing) {
   EXPECT_TRUE(ts->reachable_transitions_computed());
 }
 
+TEST(BudgetTrip, NodeCapWhileTheRotationIsVerifiedCachesNothing) {
+  // The first foldable quantifier asks the system to verify its rotation,
+  // inside the compile.  A node cap that the verification's first
+  // maintenance point cannot get under trips there: no rotation verdict and
+  // no program may be cached, and the system stays audit-clean.  The
+  // unbudgeted retry on the same checker verifies, folds and returns the
+  // explicit verdict.
+  constexpr std::uint32_t kR = 8;
+  auto reg = kripke::make_registry();
+  const auto ring = symbolic::build_symbolic_ring(kR, nullptr, reg);
+  const std::shared_ptr<const TransitionSystem> ts = ring.system;
+  symbolic::BddManager& mgr = ts->manager();
+  symbolic::CtlChecker checker(ts);
+  const auto f = ring::property_critical_implies_token();
+  const std::size_t compiled = checker.compile_stats().programs_compiled;
+  mgr.garbage_collect();
+
+  ResourceBudget budget(BudgetLimits{.node_cap = mgr.live_nodes() / 2});
+  try {
+    const BudgetScope scope(budget);
+    static_cast<void>(checker.holds_initially(f));
+    FAIL() << "node cap never tripped";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(e.kind(), BudgetKind::kNodes);
+    EXPECT_EQ(e.phase(), "bdd/node_cap");
+  }
+  EXPECT_FALSE(ts->rotation_checked());
+  EXPECT_EQ(checker.compile_stats().programs_compiled, compiled);
+  const auto report = ts->audit();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_TRUE(mgr.check_invariants());
+
+  const auto explicit_ring = testing::ring_of(kR, reg);
+  mc::CtlChecker reference(explicit_ring.structure());
+  EXPECT_EQ(checker.holds_initially(f), reference.holds_initially(f));
+  EXPECT_TRUE(ts->verified_rotation());
+  EXPECT_EQ(checker.compile_stats().programs_compiled, compiled + 1);
+}
+
+TEST(BudgetTrip, FailpointInTheRotationFoldCachesNoSatisfyingSet) {
+  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  // c[1]'s set is not rotation-invariant, so the fold takes r - 1 steps and
+  // the failpoint trips mid-fold.  The trip memoizes nothing: the retry on
+  // the same checker runs the program again and matches the explicit
+  // engine state for state.
+  constexpr std::uint32_t kR = 6;
+  auto reg = kripke::make_registry();
+  const auto ring = symbolic::build_symbolic_ring(kR, nullptr, reg);
+  const std::shared_ptr<const TransitionSystem> ts = ring.system;
+  symbolic::CtlChecker checker(ts);
+  const auto f = logic::parse_formula("exists i. c[i]");
+  arm_failpoint("sym/orbit_step", 2);
+  try {
+    static_cast<void>(checker.sat(f));
+    ADD_FAILURE() << "sym/orbit_step never fired";
+    disarm_failpoints();
+  } catch (const Interrupted&) {
+    EXPECT_EQ(armed_failpoints(), 0u);
+  }
+  const auto report = ts->audit();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_TRUE(ts->manager().check_invariants());
+
+  const std::uint64_t runs = checker.eval_stats().programs_run;
+  const Bdd sym = checker.sat(f);
+  EXPECT_EQ(checker.eval_stats().programs_run, runs + 1);
+  const auto explicit_ring = testing::ring_of(kR, reg);
+  mc::CtlChecker reference(explicit_ring.structure());
+  const mc::SatSet& want = reference.sat(f);
+  for (kripke::StateId s = 0; s < explicit_ring.structure().num_states(); ++s)
+    EXPECT_EQ(ts->manager().eval(sym, ring.assignment(explicit_ring.state(s))), want.test(s))
+        << "state " << s;
+}
+
 TEST(BudgetTrip, SeededRandomTripStress) {
   // Random formulas under random tight budgets, across both engines: any
   // trip must be one of the typed errors, the manager must audit clean,

@@ -76,6 +76,10 @@ struct AuditInjector {
   static void set_reachable_transitions(TransitionSystem& ts, BddRef relation) {
     ts.restricted_ = std::move(relation);
   }
+  /// Swaps where the cached rotation sends two variables.
+  static void swap_rotation_entries(TransitionSystem& ts, std::uint32_t a, std::uint32_t b) {
+    std::swap((*ts.rotation_)[a], (*ts.rotation_)[b]);
+  }
 };
 
 namespace {
@@ -344,6 +348,20 @@ TEST(TransitionSystemAudit, DetectsStaleReachableRelation) {
   const auto report = ts.audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(mentions(report, "cached reachable relation"));
+}
+
+TEST(TransitionSystemAudit, DetectsCorruptCachedRotation) {
+  // A cached rotation that is not the derived, verified one would fold
+  // every quantified formula over the wrong permutation.
+  const SymbolicRing ring = build_symbolic_ring(4);
+  TransitionSystem& ts = *ring.system;
+  ASSERT_TRUE(ts.verified_rotation());
+  EXPECT_TRUE(ts.audit().ok());
+  AuditInjector::swap_rotation_entries(ts, TransitionSystem::unprimed(0),
+                                       TransitionSystem::unprimed(1));
+  const auto report = ts.audit();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(mentions(report, "cached rotation"));
 }
 
 TEST(TransitionSystemAudit, DetectsCorruptRenameMaps) {

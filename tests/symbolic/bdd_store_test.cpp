@@ -364,7 +364,8 @@ TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
         << "part " << k;
 
   // Reload must beat recomputation by at least 10x (the acceptance bound;
-  // the fixpoint saturation dominates the build).  Skipped under ICTL_AUDIT:
+  // the relation build dominates the recompute, since saturation made the
+  // reach fixpoint cheap).  Skipped under ICTL_AUDIT:
   // the load path then deep-audits the whole store — including re-verifying
   // the adopted fixpoint via post_image — which is the point of that build,
   // not a perf regression.
@@ -381,8 +382,8 @@ TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
 
   // CTL verdicts are identical on the reloaded system.  P2 and I3 are the
   // two specifications the engine pins at large r (the full six-spec
-  // Section 5 suite expands index quantifiers into 64 fixpoints apiece —
-  // minutes of work that the differential suite already covers at r = 16).
+  // Section 5 suite is covered at r = 16 by the differential suite and at
+  // r = 64 and 128 by the rotation suite).
   CtlChecker before(ring.system);
   CtlChecker after(loaded);
   for (const auto& f : {ring::property_critical_implies_token(),
