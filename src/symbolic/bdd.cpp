@@ -180,6 +180,13 @@ std::uint32_t BddManager::var_at_level(std::uint32_t l) const {
   return level2var_[l];
 }
 
+bool BddManager::pairs_adjacent(std::uint32_t num_pairs) const {
+  ICTL_ASSERT(num_pairs <= num_vars_ / 2);
+  for (std::uint32_t v = 0; v < 2 * num_pairs; v += 2)
+    if (var2level_[v + 1] != var2level_[v] + 1) return false;
+  return true;
+}
+
 void BddManager::set_initial_order(const std::vector<std::uint32_t>& level2var) {
   support::require<Error>(nodes_.size() == 2,
                           "BddManager::set_initial_order: manager already holds nodes; "
@@ -443,8 +450,7 @@ void BddManager::rehash_subtable(SubTable& t, std::size_t new_buckets) {
 
 void BddManager::run_deferred_maintenance() {
   fire_pending_reorder_hook();
-  if (gc_pending_ && !in_reorder_ && protect_scope_depth_ == 0 &&
-      reorder_pause_depth_ == 0) {
+  if (gc_pending_ && !in_reorder_ && protect_scope_depth_ == 0) {
     gc_pending_ = false;
     garbage_collect();
   }
@@ -454,11 +460,9 @@ void BddManager::run_deferred_maintenance() {
 void BddManager::enforce_node_budget() {
   rt::ResourceBudget* budget = rt::current_budget();
   if (budget == nullptr || budget->node_cap() == 0) return;
-  // Inside a scope/pause neither GC nor sifting may run; the cap is
-  // re-checked at the next maintenance point outside, exactly like a
-  // deferred sweep.
-  if (in_reorder_ || protect_scope_depth_ > 0 || reorder_pause_depth_ > 0)
-    return;
+  // Inside a scope neither GC nor sifting may run; the cap is re-checked
+  // at the next maintenance point outside, exactly like a deferred sweep.
+  if (in_reorder_ || protect_scope_depth_ > 0) return;
   const std::size_t cap = budget->node_cap();
   if (live_nodes_ - queued_dead_count_ <= cap) return;
   // Ladder step 1: reclaim garbage.
@@ -471,9 +475,7 @@ void BddManager::enforce_node_budget() {
   // variables.
   ICTL_COUNT("bdd", "node_budget_sifts");
   ReorderOptions options;
-  options.group_pairs = num_vars_ % 2 == 0;
-  for (std::uint32_t v = 0; options.group_pairs && v < num_vars_; v += 2)
-    if (var2level_[v + 1] != var2level_[v] + 1) options.group_pairs = false;
+  options.group_pairs = num_vars_ % 2 == 0 && pairs_adjacent(num_vars_ / 2);
   reorder_now(options);
   if (live_nodes_ <= cap) return;
   // Ladder step 3: nothing left to shed.  The throw happens here, at the
@@ -484,7 +486,7 @@ void BddManager::enforce_node_budget() {
 
 void BddManager::fire_pending_reorder_hook() {
   if (!reorder_pending_ || reorder_hook_ == nullptr || in_reorder_ ||
-      reorder_pause_depth_ > 0 || protect_scope_depth_ > 0)
+      protect_scope_depth_ > 0)
     return;
   reorder_pending_ = false;
   ++stats_.reorder_hook_calls;
@@ -511,11 +513,10 @@ void BddManager::enable_dynamic_reordering(std::size_t threshold,
     support::require<Error>(num_vars_ % 2 == 0,
                             "BddManager::enable_dynamic_reordering: pair grouping "
                             "needs an even variable count");
-    for (std::uint32_t v = 0; v < num_vars_; v += 2)
-      support::require<Error>(
-          var2level_[v + 1] == var2level_[v] + 1,
-          "BddManager::enable_dynamic_reordering: pair grouping needs each "
-          "(2k, 2k+1) pair on adjacent levels (unprimed above primed)");
+    support::require<Error>(
+        pairs_adjacent(num_vars_ / 2),
+        "BddManager::enable_dynamic_reordering: pair grouping needs each "
+        "(2k, 2k+1) pair on adjacent levels (unprimed above primed)");
   }
   set_reorder_hook(
       [options](BddManager& mgr, std::size_t) { mgr.reorder_now(options); },
@@ -530,8 +531,8 @@ void BddManager::enable_auto_gc(std::size_t slack) {
 }
 
 std::size_t BddManager::garbage_collect() {
-  if (in_reorder_ || protect_scope_depth_ > 0 || reorder_pause_depth_ > 0) {
-    gc_pending_ = true;  // deferred: runs when the scope/pause closes
+  if (in_reorder_ || protect_scope_depth_ > 0) {
+    gc_pending_ = true;  // deferred: runs when the scope closes
     return 0;
   }
   // The failpoint sits below the deferral guard and above the first
@@ -1063,19 +1064,16 @@ void BddManager::sift_block(std::uint32_t top_var, std::uint32_t block_size,
 }
 
 std::size_t BddManager::reorder_now(const ReorderOptions& options) {
-  if (in_reorder_ || reorder_pause_depth_ > 0 || protect_scope_depth_ > 0 ||
-      num_vars_ < 2)
-    return live_nodes();
+  if (in_reorder_ || protect_scope_depth_ > 0 || num_vars_ < 2) return live_nodes();
   const std::uint32_t block_size = options.group_pairs ? 2u : 1u;
   if (block_size == 2) {
     support::require<Error>(
         num_vars_ % 2 == 0,
         "BddManager::reorder_now: pair grouping needs an even variable count");
-    for (std::uint32_t v = 0; v < num_vars_; v += 2)
-      support::require<Error>(
-          var2level_[v + 1] == var2level_[v] + 1,
-          "BddManager::reorder_now: pair grouping needs each (2k, 2k+1) pair on "
-          "adjacent levels (unprimed above primed)");
+    support::require<Error>(
+        pairs_adjacent(num_vars_ / 2),
+        "BddManager::reorder_now: pair grouping needs each (2k, 2k+1) pair on "
+        "adjacent levels (unprimed above primed)");
   }
   // Above in_reorder_: a throw must not leave the flag stuck.
   ICTL_FAILPOINT("bdd/reorder");

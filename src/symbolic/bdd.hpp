@@ -297,10 +297,11 @@ class BddManager {
     /// its size at the start of the variable's sift.
     double max_growth;
     /// Sift (2k, 2k+1) variable pairs as atomic blocks — REQUIRED whenever
-    /// the manager carries a TransitionSystem's unprimed/primed interleaving
-    /// (pair_pre_image and saturation need adjacent pairs, and the
-    /// prime/unprime renames stay one mk per node only while the pairs are
-    /// adjacent).  Needs an even variable count and pairwise-adjacent levels.
+    /// the manager carries a TransitionSystem, whose unprimed/primed pairs
+    /// must stay adjacent (pairs_adjacent): once ungrouped sifting or
+    /// swap_adjacent_levels has separated them, the system's next reach or
+    /// pre-image throws a typed error.  Needs an even variable count and
+    /// pairwise-adjacent levels.
     bool group_pairs;
     /// Stop the pass once this many node rewrites have been spent (the
     /// CUDD siftMaxSwap analogue): blocks are visited most-populous first,
@@ -336,21 +337,11 @@ class BddManager {
   /// levels moved (handles and their functions never change).
   [[nodiscard]] std::uint64_t reorder_count() const noexcept { return reorder_count_; }
 
-  /// Blocks growth-triggered reordering until the matching resume (calls
-  /// nest).  Builders that also need garbage collection deferred (any chain
-  /// of make_node calls or unrooted intermediates) should hold a
-  /// protect_scope instead, which pauses both.  A crossing detected while
-  /// paused stays pending and fires after the last resume.
-  void pause_reordering() { ++reorder_pause_depth_; }
-  /// Hard error (throws Error in every build type) when unbalanced: an
-  /// extra resume would underflow the pause depth and permanently suppress
-  /// pending reorders.
-  void resume_reordering() {
-    support::require<Error>(reorder_pause_depth_ > 0,
-                            "BddManager::resume_reordering: no matching "
-                            "pause_reordering (pause depth underflow)");
-    --reorder_pause_depth_;
-  }
+  /// Whether every variable pair (2k, 2k+1) with k < num_pairs sits on
+  /// adjacent levels, 2k directly above 2k+1 — the interleaving
+  /// symbolic::TransitionSystem requires of its state variables and
+  /// pair-grouped sifting preserves.  Requires 2 * num_pairs <= num_vars().
+  [[nodiscard]] bool pairs_adjacent(std::uint32_t num_pairs) const;
 
   /// Attachment point for custom reordering policy: `hook` fires whenever
   /// the node count first crosses `threshold`, which then doubles.  The
@@ -566,7 +557,6 @@ class BddManager {
   std::size_t reorder_threshold_ = 0;
   bool reorder_pending_ = false;
   bool in_reorder_ = false;
-  std::uint32_t reorder_pause_depth_ = 0;
   std::uint64_t reorder_count_ = 0;
 
   // GC policy state (see garbage_collect / enable_auto_gc).

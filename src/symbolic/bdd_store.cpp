@@ -298,7 +298,7 @@ void save_transition_system(const TransitionSystem& system, std::ostream& out) {
   w.bytes(kSystemMagic, sizeof(kSystemMagic));
   w.u32(kVersion);
   w.u32(system.num_state_vars());
-  w.u32(system.partition_kind() == PartitionKind::kDisjunctive ? 0 : 1);
+  w.u32(0);  // partition kind: 0 = disjunctive, the only kind a system has
   w.u32(static_cast<std::uint32_t>(parts.size()));
   w.u32(static_cast<std::uint32_t>(props.size()));
   for (const auto& [prop, fn] : props) w.u32(prop);
@@ -330,11 +330,11 @@ TransitionSystem load_transition_system(std::istream& in,
                           "load_transition_system: unsupported store version " +
                               std::to_string(version));
   const std::uint32_t num_state_vars = r.u32();
-  const std::uint32_t kind_tag = r.u32();
-  support::require<Error>(kind_tag <= 1,
-                          "load_transition_system: corrupt partition kind");
-  const PartitionKind kind =
-      kind_tag == 0 ? PartitionKind::kDisjunctive : PartitionKind::kConjunctive;
+  // A system's parts always combine by disjunction; tag 1 (conjunctive)
+  // blobs from older writers are refused.
+  support::require<ModelError>(r.u32() == 0,
+                               "load_transition_system: partition kind is not "
+                               "disjunctive (tag 0)");
   const std::uint32_t num_parts = r.u32();
   const std::uint32_t num_props = r.u32();
   support::require<Error>(num_parts <= kMaxNodes && num_props <= kMaxNodes,
@@ -387,8 +387,7 @@ TransitionSystem load_transition_system(std::istream& in,
 
   // blobs' BddRefs keep every root live until the constructor roots its own.
   TransitionSystem system(blobs.manager, num_state_vars, initial, std::move(partition),
-                          kind, std::move(registry), std::move(props),
-                          std::move(indices));
+                          std::move(registry), std::move(props), std::move(indices));
   if (reach_tag == 1) system.adopt_reachable(root("reach"));
 #ifdef ICTL_AUDIT
   // The constructor audited the raw system; re-audit with the adopted

@@ -22,10 +22,11 @@
 // verdicts, and dag sizes are preserved).
 //
 // save_transition_system/load_transition_system layer a TransitionSystem
-// header (state-var count, partition kind, prop ids, index set) over the
-// same blob, with roots "initial", "part/<k>", "prop/<k>" and — when the
-// fixpoint has been computed — "reach", which the loader hands to
-// adopt_reachable so reachability is NOT recomputed on reload.
+// header (state-var count, partition kind tag — always 0, disjunctive; the
+// loader refuses any other — prop ids, index set) over the same blob, with
+// roots "initial", "part/<k>", "prop/<k>" and — when the fixpoint has been
+// computed — "reach", which the loader hands to adopt_reachable so
+// reachability is NOT recomputed on reload.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,9 @@ void save_transition_system(const TransitionSystem& system, std::ostream& out);
 
 /// Reloads a save_transition_system stream into a fresh manager, handing
 /// back a fully wired system; a saved reachable set is adopted, so
-/// reachable() returns without recomputation.
+/// reachable() returns without recomputation.  Throws ModelError on a
+/// partition kind tag other than 0 or a saved order that separates a state
+/// pair (TransitionSystem's construction check).
 [[nodiscard]] TransitionSystem load_transition_system(std::istream& in,
                                                       kripke::PropRegistryPtr registry);
 

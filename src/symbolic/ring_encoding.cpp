@@ -30,6 +30,10 @@ class ChainBuilder {
     // Pair blocks sorted by the unprimed variable's current level, deepest
     // first; the primed partner must sit directly below it (the
     // interleaving invariant, preserved by group sifting).
+    support::require<ModelError>(
+        mgr.pairs_adjacent(num_state_vars),
+        "build_symbolic_ring: the variable order separates a state variable's "
+        "(x, x') pair");
     vars_by_level_.resize(num_state_vars);
     for (std::uint32_t v = 0; v < num_state_vars; ++v) vars_by_level_[v] = v;
     std::sort(vars_by_level_.begin(), vars_by_level_.end(),
@@ -37,9 +41,6 @@ class ChainBuilder {
                 return mgr.level_of_var(TransitionSystem::unprimed(a)) >
                        mgr.level_of_var(TransitionSystem::unprimed(b));
               });
-    for (std::uint32_t v = 0; v < num_state_vars; ++v)
-      ICTL_ASSERT(mgr.level_of_var(TransitionSystem::primed(v)) ==
-                  mgr.level_of_var(TransitionSystem::unprimed(v)) + 1);
   }
 
   PairConstraint& at(std::uint32_t state_var) { return constraints_[state_var]; }
@@ -77,21 +78,6 @@ class ChainBuilder {
   std::vector<PairConstraint> constraints_;
   std::vector<std::uint32_t> vars_by_level_;
 };
-
-/// Balanced OR (mirrors the helper in transition_system.cpp; small enough
-/// to duplicate rather than export).
-Bdd or_all(BddManager& mgr, std::vector<Bdd> terms) {
-  if (terms.empty()) return kBddFalse;
-  while (terms.size() > 1) {
-    std::vector<Bdd> next;
-    next.reserve(terms.size() / 2 + 1);
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2)
-      next.push_back(mgr.bdd_or(terms[i], terms[i + 1]));
-    if (terms.size() % 2 != 0) next.push_back(terms.back());
-    terms = std::move(next);
-  }
-  return terms.front();
-}
 
 }  // namespace
 
@@ -344,8 +330,7 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   ring.r = r;
   ring.system = std::make_shared<TransitionSystem>(
       std::move(mgr), num_state_vars, initial, std::move(partition),
-      PartitionKind::kDisjunctive, std::move(registry), std::move(props),
-      std::move(indices));
+      std::move(registry), std::move(props), std::move(indices));
   return ring;
 }
 

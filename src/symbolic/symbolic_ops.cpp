@@ -76,7 +76,7 @@ void SymbolicStateOps::prepare_rounds() const {
   // maintenance runs.  Built here instead, on first use, the rounds'
   // relation passes its maintenance point — GC, sifting, the node budget's
   // ladder — before the system caches it.
-  if (system_->fused_pre_images()) static_cast<void>(system_->reachable_transitions());
+  static_cast<void>(system_->reachable_transitions());
 }
 
 Set SymbolicStateOps::eu(const Set& f, const Set& g) {

@@ -50,8 +50,8 @@ class SymbolicStateOps {
   [[nodiscard]] Set iff(const Set& a, const Set& b) const;
 
   /// reach & pre_image(f), as one TransitionSystem::reachable_pre_image:
-  /// a pair product against the reachable-restricted relation on pair-
-  /// adjacent orders, so no trailing & reach.
+  /// a pair product against the reachable-restricted relation, so no
+  /// trailing & reach.
   [[nodiscard]] Set ex(const Set& f) const;
   /// E[f U g]: least fixpoint of Z = g | (f & EX Z) from below, frontier
   /// style — only the states added in the previous round are pre-imaged,

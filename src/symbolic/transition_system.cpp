@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/obs.hpp"
@@ -12,15 +13,28 @@
 
 namespace ictl::symbolic {
 
+namespace {
+
+/// Throws ModelError unless each of the n state pairs sits on adjacent
+/// levels, unprimed on top: pair_pre_image and saturation step through a
+/// relation one (x, x') pair at a time.
+void require_adjacent_pairs(const BddManager& mgr, std::uint32_t n) {
+  support::require<ModelError>(
+      mgr.pairs_adjacent(n),
+      "TransitionSystem: the variable order separates a state variable's "
+      "(x, x') pair");
+}
+
+}  // namespace
+
 TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
                                    std::uint32_t num_state_vars, Bdd initial,
-                                   std::vector<Bdd> partition, PartitionKind kind,
+                                   std::vector<Bdd> partition,
                                    kripke::PropRegistryPtr registry,
                                    std::vector<std::pair<kripke::PropId, Bdd>> props,
                                    std::vector<std::uint32_t> index_set)
     : mgr_(std::move(mgr)),
       num_state_vars_(num_state_vars),
-      kind_(kind),
       registry_(std::move(registry)),
       index_set_(std::move(index_set)) {
   support::require<ModelError>(mgr_ != nullptr, "TransitionSystem: null manager");
@@ -31,10 +45,11 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
                                "2 * num_state_vars BDD variables");
   support::require<ModelError>(!partition.empty(),
                                "TransitionSystem: empty transition partition");
+  require_adjacent_pairs(*mgr_, num_state_vars_);
 
-  // Root every raw argument FIRST: the cube() calls below are public
-  // operations, and on a manager with dynamic reordering or auto-GC armed
-  // they may run deferred maintenance — which retires unrooted nodes.
+  // Root every raw argument FIRST: the cube() call below is a public
+  // operation, and on a manager with dynamic reordering or auto-GC armed
+  // it may run deferred maintenance — which retires unrooted nodes.
   // Rooting the retained set also makes it what sifting minimizes.
   initial_ = BddRef(*mgr_, initial);
   parts_.reserve(partition.size());
@@ -44,97 +59,26 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
   props_.reserve(props.size());
   for (const auto& [prop, fn] : props) props_.emplace_back(prop, BddRef(*mgr_, fn));
 
-  std::vector<std::uint32_t> uvars(num_state_vars_), pvars(num_state_vars_);
-  for (std::uint32_t v = 0; v < num_state_vars_; ++v) {
-    uvars[v] = unprimed(v);
-    pvars[v] = primed(v);
-  }
-  unprimed_cube_ = mgr_->cube(uvars);
-  primed_cube_ = mgr_->cube(pvars);
-  to_primed_.resize(mgr_->num_vars());
+  std::vector<std::uint32_t> uvars(num_state_vars_);
+  for (std::uint32_t v = 0; v < num_state_vars_; ++v) uvars[v] = unprimed(v);
+  source_cube_ = mgr_->cube(uvars);
   to_unprimed_.resize(mgr_->num_vars());
-  for (std::uint32_t v = 0; v < mgr_->num_vars(); ++v)
-    to_primed_[v] = to_unprimed_[v] = v;
-  for (std::uint32_t v = 0; v < num_state_vars_; ++v) {
-    to_primed_[unprimed(v)] = primed(v);
+  std::iota(to_unprimed_.begin(), to_unprimed_.end(), 0u);
+  for (std::uint32_t v = 0; v < num_state_vars_; ++v)
     to_unprimed_[primed(v)] = unprimed(v);
-  }
 
-  if (kind_ == PartitionKind::kConjunctive) build_quantification_schedule();
 #ifdef ICTL_AUDIT
   assert_audit("construction");
 #endif
 }
 
-TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
-                                   std::uint32_t num_state_vars, Bdd initial,
-                                   Bdd transitions, kripke::PropRegistryPtr registry,
-                                   std::vector<std::pair<kripke::PropId, Bdd>> props,
-                                   std::vector<std::uint32_t> index_set)
-    : TransitionSystem(std::move(mgr), num_state_vars, initial,
-                       std::vector<Bdd>{transitions}, PartitionKind::kDisjunctive,
-                       std::move(registry), std::move(props), std::move(index_set)) {}
-
-void TransitionSystem::build_quantification_schedule() {
-  // For each state variable, the LAST part (in partition order) whose
-  // support mentions it: a conjunctive relational product may quantify the
-  // variable out right after conjoining that part — no later conjunct can
-  // resurrect it.  Computed once; the cubes are reused by every image.
-  const std::size_t num_parts = parts_.size();
-  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> last_primed(num_state_vars_, kNever);
-  std::vector<std::size_t> last_unprimed(num_state_vars_, kNever);
-  for (std::size_t k = 0; k < num_parts; ++k) {
-    for (const std::uint32_t bdd_var : mgr_->support_vars(parts_[k])) {
-      const std::uint32_t state_var = bdd_var / 2;
-      if (state_var >= num_state_vars_) continue;
-      if (bdd_var % 2 == 0)
-        last_unprimed[state_var] = k;
-      else
-        last_primed[state_var] = k;
-    }
-  }
-  std::vector<std::vector<std::uint32_t>> pre_sched(num_parts), post_sched(num_parts);
-  std::vector<std::uint32_t> pre_leading, post_leading;
-  for (std::uint32_t v = 0; v < num_state_vars_; ++v) {
-    if (last_primed[v] == kNever)
-      pre_leading.push_back(primed(v));
-    else
-      pre_sched[last_primed[v]].push_back(primed(v));
-    if (last_unprimed[v] == kNever)
-      post_leading.push_back(unprimed(v));
-    else
-      post_sched[last_unprimed[v]].push_back(unprimed(v));
-  }
-  pre_schedule_cubes_.reserve(num_parts);
-  post_schedule_cubes_.reserve(num_parts);
-  for (std::size_t k = 0; k < num_parts; ++k) {
-    pre_schedule_cubes_.push_back(mgr_->cube(pre_sched[k]));
-    post_schedule_cubes_.push_back(mgr_->cube(post_sched[k]));
-  }
-  pre_leading_cube_ = mgr_->cube(pre_leading);
-  post_leading_cube_ = mgr_->cube(post_leading);
-}
-
 Bdd TransitionSystem::transitions() const {
   if (monolithic_.has_value()) return monolithic_->get();
-  // Balanced combine — only materialized when somebody actually asks for
-  // the monolithic relation (inspection, tests); images never do.  The
-  // scope keeps the raw intermediate layers valid across the combining
-  // operations; the final result is rooted before the scope exits.
+  // The scope keeps or_all's raw intermediate layers valid; the result is
+  // rooted before it exits.
   const auto scope = mgr_->protect_scope();
-  std::vector<Bdd> terms(parts_.begin(), parts_.end());
-  while (terms.size() > 1) {
-    std::vector<Bdd> next;
-    next.reserve(terms.size() / 2 + 1);
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2)
-      next.push_back(kind_ == PartitionKind::kDisjunctive
-                         ? mgr_->bdd_or(terms[i], terms[i + 1])
-                         : mgr_->bdd_and(terms[i], terms[i + 1]));
-    if (terms.size() % 2 != 0) next.push_back(terms.back());
-    terms = std::move(next);
-  }
-  monolithic_ = BddRef(*mgr_, terms.front());
+  monolithic_ =
+      BddRef(*mgr_, or_all(*mgr_, std::vector<Bdd>(parts_.begin(), parts_.end())));
   return monolithic_->get();
 }
 
@@ -149,81 +93,37 @@ std::size_t TransitionSystem::relation_node_count() const {
   return mgr_->dag_size(std::vector<Bdd>(parts_.begin(), parts_.end()));
 }
 
-namespace {
-
-/// The state variables in current level order, top first: one saturation
-/// level per (x, x') pair.  Empty when some pair is separated by another
-/// state variable's BDD variable — saturation and pair_pre_image cofactor a
-/// relation one pair at a time.
-std::vector<std::uint32_t> pair_levels(const BddManager& mgr, std::uint32_t n) {
-  std::vector<std::uint32_t> bdd_vars(2 * n);
-  for (std::uint32_t v = 0; v < 2 * n; ++v) bdd_vars[v] = v;
-  std::sort(bdd_vars.begin(), bdd_vars.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return mgr.level_of_var(a) < mgr.level_of_var(b);
-  });
-  std::vector<std::uint32_t> levels;
-  levels.reserve(n);
-  for (std::uint32_t i = 0; i < 2 * n; i += 2) {
-    if (bdd_vars[i] % 2 != 0 || bdd_vars[i + 1] != bdd_vars[i] + 1) return {};
-    levels.push_back(bdd_vars[i] / 2);
-  }
-  return levels;
-}
-
-}  // namespace
-
-bool TransitionSystem::fused_pre_images() const {
-  if (kind_ != PartitionKind::kDisjunctive) return false;
-  // Levels move only when the reorder epoch does, so the order is re-read
-  // once per epoch rather than once per image.
-  if (fused_epoch_ != mgr_->reorder_count()) {
-    fused_ = !pair_levels(*mgr_, num_state_vars_).empty();
-    fused_epoch_ = mgr_->reorder_count();
-  }
-  return fused_;
-}
-
 BddRef TransitionSystem::pre_image(Bdd states) const {
   ICTL_COUNT("sym", "pre_images");
-  if (fused_pre_images()) return mgr_->pair_pre_image(transitions(), states);
-  const BddRef primed_states = mgr_->rename(states, to_primed_);
-  if (kind_ == PartitionKind::kDisjunctive)
-    return mgr_->and_exists(transitions(), primed_states, primed_cube_);
-  // Conjunctive: fold the parts through the relational product, retiring
-  // each primed variable at its scheduled part.
-  ICTL_PROFILE_ARG("sym", "early_quant_fold", "parts", parts_.size());
-  BddRef acc = mgr_->exists(primed_states, pre_leading_cube_);
-  for (std::size_t k = 0; k < parts_.size(); ++k) {
-    // Per-part checkpoint in the conjunctive fold: acc is rooted between
-    // and_exists steps, so a trip here leaves nothing half-quantified.
-    rt::checkpoint("sym/image_fold");
-    acc = mgr_->and_exists(acc, parts_[k], pre_schedule_cubes_[k]);
-  }
-  return acc;
+  return mgr_->pair_pre_image(transitions(), states);
 }
 
 BddRef TransitionSystem::reachable_pre_image(Bdd states) const {
-  if (!fused_pre_images()) return mgr_->bdd_and(reachable(), pre_image(states));
   ICTL_COUNT("sym", "pre_images");
   return mgr_->pair_pre_image(reachable_transitions(), states);
 }
 
 BddRef TransitionSystem::post_image(Bdd states) const {
   ICTL_COUNT("sym", "post_images");
-  if (kind_ == PartitionKind::kDisjunctive) {
-    const BddRef next = mgr_->and_exists(transitions(), states, unprimed_cube_);
-    return mgr_->rename(next, to_unprimed_);
-  }
-  ICTL_PROFILE_ARG("sym", "early_quant_fold", "parts", parts_.size());
-  BddRef acc = mgr_->exists(states, post_leading_cube_);
-  for (std::size_t k = 0; k < parts_.size(); ++k) {
-    rt::checkpoint("sym/image_fold");
-    acc = mgr_->and_exists(acc, parts_[k], post_schedule_cubes_[k]);
-  }
-  return mgr_->rename(acc, to_unprimed_);
+  const BddRef next = mgr_->and_exists(transitions(), states, source_cube_);
+  return mgr_->rename(next, to_unprimed_);
 }
 
 namespace {
+
+/// The state variables in current level order, top first: one saturation
+/// level per (x, x') pair.  Throws ModelError when the order separates a
+/// pair.
+std::vector<std::uint32_t> pair_levels(const BddManager& mgr, std::uint32_t n) {
+  require_adjacent_pairs(mgr, n);
+  std::vector<std::uint32_t> levels(n);
+  std::iota(levels.begin(), levels.end(), 0u);
+  std::sort(levels.begin(), levels.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return mgr.level_of_var(TransitionSystem::unprimed(a)) <
+           mgr.level_of_var(TransitionSystem::unprimed(b));
+  });
+  return levels;
+}
 
 /// f's cofactors on BDD variable `var`, which must not lie below f's top.
 std::array<Bdd, 2> cofactors(const BddManager& mgr, Bdd f, std::uint32_t var) {
@@ -404,7 +304,6 @@ std::vector<TransitionSystem::SaturationEvent> TransitionSystem::saturation_even
   support::require<Error>(part < parts_.size(),
                           "TransitionSystem::saturation_events: no such part");
   std::vector<SaturationEvent> events;
-  if (kind_ != PartitionKind::kDisjunctive) return events;
   require_state_support();
   const auto scope = mgr_->protect_scope();
   const std::vector<std::uint32_t> levels = pair_levels(*mgr_, num_state_vars_);
@@ -418,7 +317,7 @@ Bdd TransitionSystem::reachable() const {
   ICTL_PROFILE_ARG("sym", "reach_fixpoint", "parts", parts_.size());
   require_state_support();
   std::optional<BddRef> saturated;
-  if (kind_ == PartitionKind::kDisjunctive) {
+  {
     // One scope for the whole saturation: the memo tables hold raw
     // handles, so neither GC nor reordering may run until it closes.
     const auto scope = mgr_->protect_scope();
@@ -587,6 +486,10 @@ BddManager::AuditReport TransitionSystem::audit() const {
   };
   const std::uint32_t n = num_state_vars_;
 
+  // The interleaving: each state pair on adjacent levels, unprimed on top.
+  if (!mgr_->pairs_adjacent(n))
+    fail("the variable order separates a state variable's (x, x') pair");
+
   // Support discipline: state sets live over unprimed variables only, the
   // relation parts over the declared interleaved pairs.
   const auto unprimed_only = [&](Bdd f, const std::string& what) {
@@ -607,74 +510,21 @@ BddManager::AuditReport TransitionSystem::audit() const {
   for (const auto& [prop, fn] : props_)
     unprimed_only(fn.get(), "prop " + std::to_string(prop) + " function");
 
-  // The prime/unprime rename maps are mutual inverses over the state pairs.
-  if (to_primed_.size() < 2 * n || to_unprimed_.size() < 2 * n) {
-    fail("rename maps shorter than the state variable block");
+  // The unprime rename map inverts primed() over the state pairs.
+  if (to_unprimed_.size() < 2 * n) {
+    fail("rename map shorter than the state variable block");
   } else {
     for (std::uint32_t v = 0; v < n; ++v)
-      if (to_primed_[unprimed(v)] != primed(v) ||
-          to_unprimed_[primed(v)] != unprimed(v) ||
-          to_unprimed_[to_primed_[unprimed(v)]] != unprimed(v))
-        fail("rename maps not mutually inverse at state variable " +
+      if (to_unprimed_[primed(v)] != unprimed(v))
+        fail("prime/unprime rename maps not mutually inverse at state variable " +
              std::to_string(v));
   }
 
-  // Quantification cubes span exactly their halves of the interleaving.
-  const auto cube_support_is = [&](Bdd cube, bool primed_half,
-                                   const std::string& what) {
-    std::vector<std::uint32_t> expect(n);
-    for (std::uint32_t v = 0; v < n; ++v)
-      expect[v] = primed_half ? primed(v) : unprimed(v);
-    if (mgr_->support_vars(cube) != expect)
-      fail(what + " does not span exactly its half of the state variables");
-  };
-  cube_support_is(unprimed_cube_.get(), false, "unprimed cube");
-  cube_support_is(primed_cube_.get(), true, "primed cube");
-
-  // Early-quantification schedule (conjunctive partitions): each quantified
-  // variable retired exactly at the LAST part whose support mentions it,
-  // never-mentioned variables in the leading cube.  Together that is both
-  // soundness (nothing quantified while a later part still constrains it)
-  // and completeness (every primed/unprimed variable is quantified
-  // somewhere — a gap would leak primed variables into image results).
-  if (kind_ == PartitionKind::kConjunctive) {
-    if (pre_schedule_cubes_.size() != parts_.size() ||
-        post_schedule_cubes_.size() != parts_.size()) {
-      fail("quantification schedule length does not match the partition");
-    } else {
-      constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-      std::vector<std::size_t> last_primed(n, kNever), last_unprimed(n, kNever);
-      for (std::size_t k = 0; k < parts_.size(); ++k)
-        for (const std::uint32_t v : mgr_->support_vars(parts_[k])) {
-          if (v / 2 >= n) continue;
-          (v % 2 != 0 ? last_primed : last_unprimed)[v / 2] = k;
-        }
-      const auto check_half = [&](const std::vector<BddRef>& cubes,
-                                  const BddRef& leading,
-                                  const std::vector<std::size_t>& last,
-                                  bool primed_half, const std::string& what) {
-        std::vector<std::vector<std::uint32_t>> expect(parts_.size());
-        std::vector<std::uint32_t> expect_leading;
-        for (std::uint32_t v = 0; v < n; ++v) {
-          const std::uint32_t bdd_var = primed_half ? primed(v) : unprimed(v);
-          if (last[v] == kNever)
-            expect_leading.push_back(bdd_var);
-          else
-            expect[last[v]].push_back(bdd_var);
-        }
-        for (std::size_t k = 0; k < parts_.size(); ++k)
-          if (mgr_->support_vars(cubes[k].get()) != expect[k])
-            fail(what + " schedule cube " + std::to_string(k) +
-                 " does not quantify exactly the variables last mentioned there");
-        if (mgr_->support_vars(leading.get()) != expect_leading)
-          fail(what + " leading cube does not cover exactly the never-mentioned "
-                      "variables");
-      };
-      check_half(pre_schedule_cubes_, pre_leading_cube_, last_primed, true, "pre");
-      check_half(post_schedule_cubes_, post_leading_cube_, last_unprimed, false,
-                 "post");
-    }
-  }
+  // post_image's quantification cube spans exactly the unprimed variables.
+  std::vector<std::uint32_t> uvars(n);
+  for (std::uint32_t v = 0; v < n; ++v) uvars[v] = unprimed(v);
+  if (mgr_->support_vars(source_cube_.get()) != uvars)
+    fail("unprimed cube does not span exactly its half of the state variables");
 
   // Reachable (when computed): a set over unprimed variables containing the
   // initial states and closed under the post image — i.e., a fixpoint.
@@ -726,11 +576,6 @@ Bdd state_minterm(BddManager& mgr, std::uint32_t num_state_vars, kripke::StateId
   return acc;
 }
 
-namespace {
-
-/// Balanced OR over a list — keeps intermediate BDDs small compared to a
-/// left fold when the disjuncts are minterm-like.  Raw handles: callers
-/// hold a protect_scope.
 Bdd or_all(BddManager& mgr, std::vector<Bdd> terms) {
   if (terms.empty()) return kBddFalse;
   while (terms.size() > 1) {
@@ -743,8 +588,6 @@ Bdd or_all(BddManager& mgr, std::vector<Bdd> terms) {
   }
   return terms.front();
 }
-
-}  // namespace
 
 TransitionSystem from_structure(const kripke::Structure& m,
                                 std::shared_ptr<BddManager> mgr) {
@@ -793,7 +636,7 @@ TransitionSystem from_structure(const kripke::Structure& m,
 
   const Bdd initial = state_minterm(*mgr, bits, m.initial(), /*primed=*/false);
   std::vector<std::uint32_t> indices(m.index_set().begin(), m.index_set().end());
-  return TransitionSystem(std::move(mgr), bits, initial, transitions, m.registry(),
+  return TransitionSystem(std::move(mgr), bits, initial, {transitions}, m.registry(),
                           std::move(props), std::move(indices));
 }
 

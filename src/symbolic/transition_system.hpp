@@ -1,27 +1,22 @@
 // A Kripke structure encoded symbolically: state variables as BDD
-// variables, the transition relation as a PARTITIONED list of BDDs —
-// T(x, x') is the disjunction (asynchronous interleaving) or conjunction
-// (synchronous composition) of per-rule/per-cluster relations that are
-// never combined into one monolithic BDD on the hot path — plus
+// variables, the transition relation as a PARTITIONED list of BDDs whose
+// disjunction is T(x, x') — the interleaving of per-rule/per-cluster
+// relations, never combined into one monolithic BDD on the hot path — plus
 // per-proposition characteristic functions and pre_image/post_image
 // primitives mirroring the CSR primitives of kripke::Structure, over
 // sets-as-BDDs, so the state space is never enumerated.
 //
-// Image computation is partition-aware: a conjunctive partition folds the
-// parts through and_exists with an EARLY-QUANTIFICATION schedule — each
-// state variable is quantified out as soon as no later part mentions it —
-// computed once per partition order at construction.  A disjunctive
-// partition is split into events by top level and saturated bottom-up
-// inside reachable() (see there), while the single-step pre/post images
-// run one relational product against the lazily combined relation — the
-// parts keep the COMBINE cheap, and one product measured ~5x faster than a
-// per-part product-and-OR loop for the EX-heavy CTL fixpoints.  The
-// pre-image product is BddManager::pair_pre_image, which reads the set's
-// x as x' one (x, x') pair at a time; the CTL fixpoints, whose every round
-// wants reachable() & pre_image(S), run it against the relation restricted
-// to reachable sources (reachable_pre_image), so no round walks the
-// unreachable encodings only to intersect them away.  Orders that separate
-// an (x, x') pair fall back to rename + and_exists.
+// Image computation is partition-aware: the parts are split into events
+// by top level and saturated bottom-up inside reachable() (see there),
+// while the single-step pre/post images run one relational product against
+// the lazily combined relation — the parts keep the COMBINE cheap, and one
+// product measured ~5x faster than a per-part product-and-OR loop for the
+// EX-heavy CTL fixpoints.  The pre-image product is
+// BddManager::pair_pre_image, which reads the set's x as x' one (x, x')
+// pair at a time; the CTL fixpoints, whose every round wants reachable() &
+// pre_image(S), run it against the relation restricted to reachable
+// sources (reachable_pre_image), so no round walks the unreachable
+// encodings only to intersect them away.
 //
 // Rotation symmetry: verified_rotation() derives the ring rotation π, a
 // BDD-variable permutation taking each process's variables to the next
@@ -34,7 +29,7 @@
 // check never folds.
 //
 // Lifetimes: everything the system retains — initial set, partition,
-// prop functions, quantification cubes, the cached monolithic and
+// prop functions, the unprimed cube, the cached monolithic and
 // reachable-restricted relations and reachable set — is held in BddRef
 // roots, so it survives garbage collection and reordering while everything
 // transient (image intermediates, fixpoint frontiers) becomes collectible
@@ -42,9 +37,13 @@
 // their results.
 //
 // Variable convention: state variable v (0-based, v < num_state_vars) owns
-// the BDD variable pair (2v, 2v+1) — unprimed interleaved with primed, so
-// the prime/unprime renames are order-preserving and structure-preserving
-// (and stay so across dynamic reordering, which group-sifts the pairs).
+// the BDD variable pair (2v, 2v+1), and the pair sits on adjacent levels,
+// unprimed on top (BddManager::pairs_adjacent).  That is an invariant:
+// construction refuses any other order, so a store blob with a separated
+// pair fails to load, and audit() checks it again.  Dynamic reordering
+// keeps it by group-sifting the pairs; once ungrouped sifting or
+// swap_adjacent_levels separates a pair, the next reach or pre-image
+// throws.
 #pragma once
 
 #include <cstdint>
@@ -60,32 +59,22 @@
 
 namespace ictl::symbolic {
 
-/// How a partitioned relation combines into T(x, x').
-enum class PartitionKind {
-  kDisjunctive,  ///< T = part_0 | part_1 | ... (interleaved/asynchronous rules)
-  kConjunctive,  ///< T = part_0 & part_1 & ... (synchronous constraints)
-};
-
 class TransitionSystem {
  public:
   /// Assembles a system over `mgr` (which must already own the 2 *
-  /// num_state_vars BDD variables).  `initial` and every prop function are
+  /// num_state_vars BDD variables, each state pair on adjacent levels with
+  /// the unprimed variable on top).  `initial` and every prop function are
   /// over unprimed variables; each element of `partition` relates unprimed
-  /// to primed, combining per `kind`.  `props` maps registry ids to
-  /// characteristic functions; `index_set` mirrors
+  /// to primed, and T(x, x') is their disjunction.  `props` maps registry
+  /// ids to characteristic functions; `index_set` mirrors
   /// kripke::Structure::index_set for the index quantifiers.  The raw
   /// handles are rooted (BddRef) before any further BDD operation runs, so
-  /// callers may pass unrooted results built under a protect_scope.
+  /// callers may pass unrooted results built under a protect_scope.  Throws
+  /// ModelError on a null manager, no state variable, too few BDD
+  /// variables, an empty partition, or an order that separates a pair.
   TransitionSystem(std::shared_ptr<BddManager> mgr, std::uint32_t num_state_vars,
-                   Bdd initial, std::vector<Bdd> partition, PartitionKind kind,
+                   Bdd initial, std::vector<Bdd> partition,
                    kripke::PropRegistryPtr registry,
-                   std::vector<std::pair<kripke::PropId, Bdd>> props,
-                   std::vector<std::uint32_t> index_set);
-
-  /// Single-partition convenience (the explicit bridge and legacy callers):
-  /// a monolithic `transitions` BDD is a one-element disjunctive partition.
-  TransitionSystem(std::shared_ptr<BddManager> mgr, std::uint32_t num_state_vars,
-                   Bdd initial, Bdd transitions, kripke::PropRegistryPtr registry,
                    std::vector<std::pair<kripke::PropId, Bdd>> props,
                    std::vector<std::uint32_t> index_set);
 
@@ -103,12 +92,11 @@ class TransitionSystem {
   [[nodiscard]] std::uint32_t num_state_vars() const noexcept { return num_state_vars_; }
   [[nodiscard]] Bdd initial() const noexcept { return initial_.get(); }
 
-  /// The partitioned relation (system-rooted refs) and how it combines.
+  /// The partitioned relation (system-rooted refs); T is their disjunction.
   [[nodiscard]] std::span<const BddRef> partition() const noexcept { return parts_; }
-  [[nodiscard]] PartitionKind partition_kind() const noexcept { return kind_; }
 
-  /// The monolithic T(x, x') — combined lazily on first request, cached and
-  /// system-rooted; the image primitives never need it.
+  /// The monolithic T(x, x') — the parts' balanced OR, combined lazily on
+  /// first request, cached and system-rooted.
   [[nodiscard]] Bdd transitions() const;
 
   /// T(x, x') & reachable(x): the relation from reachable sources only —
@@ -125,31 +113,25 @@ class TransitionSystem {
   /// Total BDD nodes across the partition (shared nodes counted once).
   [[nodiscard]] std::size_t relation_node_count() const;
 
-  /// { x | exists x'. T(x, x') & S(x') } — states with some successor in S.
-  /// One pair_pre_image against transitions() when fused_pre_images();
-  /// otherwise S is renamed to x' and a disjunctive relation takes one
-  /// and_exists, a conjunctive one the early-quantification fold.
+  /// { x | exists x'. T(x, x') & S(x') } — states with some successor in S:
+  /// one pair_pre_image against transitions().  Throws Error when the order
+  /// separates a pair the product meets (BddManager::pair_pre_image).
   [[nodiscard]] BddRef pre_image(Bdd states) const;
 
   /// reachable() & pre_image(S), the backward step of every symbolic EX,
-  /// EU and EG round.  When fused_pre_images(), one pair_pre_image against
-  /// reachable_transitions(): the restriction rides inside the product
-  /// instead of trimming its result.  Otherwise pre_image, then & reachable().
-  /// Counts one sym/pre_images either way.
+  /// EU and EG round: one pair_pre_image against reachable_transitions(),
+  /// so the restriction rides inside the product instead of trimming its
+  /// result.  Counts one sym/pre_images.  Throws as pre_image and
+  /// reachable() do.
   [[nodiscard]] BddRef reachable_pre_image(Bdd states) const;
-
-  /// True when the partition is disjunctive and the current order keeps
-  /// every (x, x') pair on adjacent levels, unprimed on top — what
-  /// pair_pre_image needs.  Re-read from the order once per reorder epoch.
-  [[nodiscard]] bool fused_pre_images() const;
 
   /// { x' | exists x. S(x) & T(x, x') } — states with some predecessor in S,
   /// renamed back to unprimed variables.
   [[nodiscard]] BddRef post_image(Bdd states) const;
 
   /// Least fixpoint of I | post_image(.), computed once, cached and
-  /// system-rooted.  A disjunctive partition is SATURATED (Ciardo, Lüttgen
-  /// & Siminiceanu, TACAS 2001): each part is split into events by top
+  /// system-rooted.  The partition is SATURATED (Ciardo, Lüttgen &
+  /// Siminiceanu, TACAS 2001): each part is split into events by top
   /// level (see saturation_events), one event per level after OR-ing, and
   /// the initial set is saturated bottom-up — a node's children first,
   /// then its level's event fired to a fixpoint on them — so every node
@@ -157,12 +139,12 @@ class TransitionSystem {
   /// relational product returns the set unchanged once the relation is
   /// x' = x down to the bottom, so a ring rule that moves one process
   /// costs a walk down to that process's levels instead of a product over
-  /// every variable per firing.  Conjunctive partitions, splits with a
-  /// single event level (from_structure's minterm relation) and orders that
-  /// separate an (x, x') pair iterate breadth-first over a frontier.
-  /// Throws ModelError when a part mentions a BDD variable outside the
-  /// 2 * num_state_vars state variables, or the initial set one that is not
-  /// an unprimed state variable (a malformed store, say).
+  /// every variable per firing.  A split with a single event level
+  /// (from_structure's minterm relation) iterates breadth-first over a
+  /// frontier instead.  Throws ModelError when the order separates a pair,
+  /// when a part mentions a BDD variable outside the 2 * num_state_vars
+  /// state variables, or when the initial set mentions one that is not an
+  /// unprimed state variable (a malformed store, say).
   [[nodiscard]] Bdd reachable() const;
 
   /// Partition part `part` split into saturation events, at most one per
@@ -174,9 +156,8 @@ class TransitionSystem {
   /// branch; otherwise the rest of the part is one event at that level.
   /// The part is the OR of its events, each conjoined with x' = x on every
   /// state variable above its `top_var`; a rest that is x' = x all the way
-  /// down fires nothing and is dropped.  Empty for a conjunctive
-  /// partition, or when the current order separates some (x, x') pair by
-  /// another state variable.  Throws ModelError as reachable() does.
+  /// down fires nothing and is dropped.  Throws ModelError as reachable()
+  /// does.
   struct SaturationEvent {
     std::uint32_t top_var;  ///< state variable at the event's top level
     BddRef relation;        ///< over top_var and the state variables below
@@ -253,14 +234,13 @@ class TransitionSystem {
   }
 
   /// Deep cross-structure audit (the system-level counterpart of
-  /// BddManager::audit): supports lie inside the declared variable sets
-  /// (parts over the interleaved pairs, initial/props/reachable over
-  /// unprimed variables only), the prime/unprime rename maps are mutual
-  /// inverses over the state pairs, the early-quantification schedule
-  /// quantifies each variable exactly at the last part mentioning it, and —
-  /// once computed — reachable() contains the initial states and is closed
-  /// under post_image, reachable_transitions() equals transitions() &
-  /// reachable(), and a cached rotation verdict is the one a fresh
+  /// BddManager::audit): every state pair sits on adjacent levels, unprimed
+  /// on top; supports lie inside the declared variable sets (parts over the
+  /// interleaved pairs, initial/props/reachable over unprimed variables
+  /// only); the unprime rename map inverts primed() over the state pairs;
+  /// and — once computed — reachable() contains the initial states and is
+  /// closed under post_image, reachable_transitions() equals transitions()
+  /// & reachable(), and a cached rotation verdict is the one a fresh
   /// derivation and verification give.
   [[nodiscard]] BddManager::AuditReport audit() const;
 
@@ -271,11 +251,6 @@ class TransitionSystem {
  private:
   friend struct AuditInjector;  // tests/symbolic/audit_test.cpp: seeds
                                 // corruption to prove each check fires
-  /// Computes the early-quantification schedules (conjunctive partitions):
-  /// for each part, the cube of primed (pre) / unprimed (post) variables
-  /// whose last mention across the partition order is that part, plus the
-  /// leading cube of state variables no part mentions at all.
-  void build_quantification_schedule();
 
   /// Throws ModelError unless the parts stay within the state variables and
   /// the initial set within the unprimed ones — saturation's precondition,
@@ -294,27 +269,16 @@ class TransitionSystem {
   std::uint32_t num_state_vars_;
   BddRef initial_;
   std::vector<BddRef> parts_;
-  PartitionKind kind_;
   kripke::PropRegistryPtr registry_;
   std::vector<std::pair<kripke::PropId, BddRef>> props_;  // sorted by PropId
   std::vector<std::uint32_t> index_set_;
-  BddRef unprimed_cube_;
-  BddRef primed_cube_;
-  std::vector<std::uint32_t> to_primed_;    // rename map: 2v -> 2v+1
+  BddRef source_cube_;                      // the unprimed variables 2v
   std::vector<std::uint32_t> to_unprimed_;  // rename map: 2v+1 -> 2v
-  // Early-quantification schedule (conjunctive partitions only).
-  std::vector<BddRef> pre_schedule_cubes_;   // primed vars last mentioned at part k
-  std::vector<BddRef> post_schedule_cubes_;  // unprimed vars last mentioned at part k
-  BddRef pre_leading_cube_;                  // primed vars mentioned by no part
-  BddRef post_leading_cube_;                 // unprimed vars mentioned by no part
   mutable std::optional<BddRef> monolithic_;
   mutable std::optional<BddRef> restricted_;  // reachable_transitions()
   mutable std::optional<BddRef> reachable_;
   // verified_rotation(): unset until checked, then π, or empty when it failed.
   mutable std::optional<std::vector<std::uint32_t>> rotation_;
-  // fused_pre_images() and the reorder epoch it was last read at.
-  mutable bool fused_ = false;
-  mutable std::optional<std::uint64_t> fused_epoch_;
 };
 
 /// Generic bridge from the explicit engine: encodes an explicit structure
@@ -323,8 +287,8 @@ class TransitionSystem {
 /// minterms, and every used proposition from its label column.  This makes
 /// ANY explicit structure (stars, free products, random graphs) checkable
 /// by the symbolic engine — the differential-testing workhorse.  The
-/// result carries a single-partition (monolithic) relation; the ring
-/// family's direct encoding is where the partitioned path earns its keep.
+/// result carries a single-part (monolithic) relation; the ring family's
+/// direct encoding is where the partitioned path earns its keep.
 [[nodiscard]] TransitionSystem from_structure(const kripke::Structure& m,
                                               std::shared_ptr<BddManager> mgr = nullptr);
 
@@ -335,5 +299,11 @@ class TransitionSystem {
 /// survive.
 [[nodiscard]] Bdd state_minterm(BddManager& mgr, std::uint32_t num_state_vars,
                                 kripke::StateId s, bool primed);
+
+/// Balanced OR of `terms` (false when empty): pairs neighbours level by
+/// level, which keeps intermediate BDDs small next to a left fold when the
+/// terms are minterm-like.  Returns an UNROOTED handle, under the same
+/// contract as state_minterm.
+[[nodiscard]] Bdd or_all(BddManager& mgr, std::vector<Bdd> terms);
 
 }  // namespace ictl::symbolic

@@ -168,7 +168,7 @@ inline std::shared_ptr<const symbolic::TransitionSystem> asymmetric_ring(
   for (const auto& [p, fn] : props) prop_fns.emplace_back(p, fn.get());
   return std::make_shared<const TransitionSystem>(
       ring.system->manager_ptr(), ts.num_state_vars(), ts.initial(), std::move(parts),
-      symbolic::PartitionKind::kDisjunctive, std::move(reg), std::move(prop_fns),
+      std::move(reg), std::move(prop_fns),
       std::vector<std::uint32_t>(ts.index_set().begin(), ts.index_set().end()));
 }
 

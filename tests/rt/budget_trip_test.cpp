@@ -368,7 +368,6 @@ TEST(BudgetTrip, NodeCapWhileTheReachableRelationIsBuiltCachesNothing) {
   static_cast<void>(ts->transitions());
   static_cast<void>(checker.sat(logic::parse_formula("c[1]")));
   static_cast<void>(checker.sat(logic::parse_formula("!c[1]")));
-  ASSERT_TRUE(ts->fused_pre_images());
   ASSERT_FALSE(ts->reachable_transitions_computed());
   mgr.garbage_collect();
 

@@ -67,11 +67,8 @@ struct AuditInjector {
   static void set_initial(TransitionSystem& ts, BddRef initial) {
     ts.initial_ = std::move(initial);
   }
-  static void swap_pre_schedule(TransitionSystem& ts) {
-    std::swap(ts.pre_schedule_cubes_[0], ts.pre_schedule_cubes_[1]);
-  }
   static void corrupt_rename_map(TransitionSystem& ts) {
-    std::swap(ts.to_primed_[0], ts.to_primed_[2]);
+    std::swap(ts.to_unprimed_[1], ts.to_unprimed_[3]);
   }
   static void set_reachable_transitions(TransitionSystem& ts, BddRef relation) {
     ts.restricted_ = std::move(relation);
@@ -282,20 +279,19 @@ TEST(BddAudit, AssertAuditThrowsWithReport) {
 
 // ---- TransitionSystem audits ----
 
-/// Small conjunctive system: x0' = !x0, x1' = x0 (a 2-bit shift/flip).
-TransitionSystem small_conjunctive() {
+/// Small system: x0' = !x0, x1' = x0 (a 2-bit shift/flip), as one part.
+TransitionSystem small_shift() {
   auto mgr = std::make_shared<BddManager>(4);
   const BddRef part0 = mgr->bdd_iff(mgr->var(1), mgr->bdd_not(mgr->var(0)));
   const BddRef part1 = mgr->bdd_iff(mgr->var(3), mgr->var(0));
   const BddRef initial = mgr->bdd_and(mgr->nvar(0), mgr->nvar(2));
   return TransitionSystem(mgr, 2, initial.get(),
-                          std::vector<Bdd>{part0.get(), part1.get()},
-                          PartitionKind::kConjunctive, kripke::make_registry(),
-                          {}, {});
+                          std::vector<Bdd>{mgr->bdd_and(part0, part1).get()},
+                          kripke::make_registry(), {}, {});
 }
 
 TEST(TransitionSystemAudit, CleanSystemsPass) {
-  TransitionSystem conj = small_conjunctive();
+  TransitionSystem conj = small_shift();
   EXPECT_TRUE(conj.audit().ok());
   (void)conj.reachable();
   EXPECT_TRUE(conj.audit().ok());
@@ -309,7 +305,7 @@ TEST(TransitionSystemAudit, CleanSystemsPass) {
 }
 
 TEST(TransitionSystemAudit, DetectsAdoptedNonFixpoint) {
-  TransitionSystem ts = small_conjunctive();
+  TransitionSystem ts = small_shift();
   // The initial set alone is not closed: 00 steps to 10.  adopt_reachable
   // is the public store-loader path — no injector needed.
   ts.adopt_reachable(ts.initial());
@@ -319,19 +315,25 @@ TEST(TransitionSystemAudit, DetectsAdoptedNonFixpoint) {
 }
 
 TEST(TransitionSystemAudit, DetectsPrimedVariableInStateSet) {
-  TransitionSystem ts = small_conjunctive();
+  TransitionSystem ts = small_shift();
   AuditInjector::set_initial(ts, ts.manager().var(1));
   const auto report = ts.audit();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(mentions(report, "initial set mentions primed variable"));
 }
 
-TEST(TransitionSystemAudit, DetectsScheduleNotCoveringPrimedVars) {
-  TransitionSystem ts = small_conjunctive();
-  AuditInjector::swap_pre_schedule(ts);
+TEST(TransitionSystemAudit, DetectsAPairSeparatedAfterConstruction) {
+  // Construction refuses a separated order, but swap_adjacent_levels (or
+  // ungrouped sifting) can separate a pair later; the audit reports it.
+  TransitionSystem ts = small_shift();
+  (void)ts.reachable();
+  ASSERT_TRUE(ts.audit().ok());
+  ts.manager().swap_adjacent_levels(1);  // x0 x1 x0' x1'
   const auto report = ts.audit();
   EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(mentions(report, "schedule cube"));
+  EXPECT_TRUE(mentions(report, "separates a state variable's (x, x') pair"));
+  ts.manager().swap_adjacent_levels(1);
+  EXPECT_TRUE(ts.audit().ok());
 }
 
 TEST(TransitionSystemAudit, DetectsStaleReachableRelation) {
@@ -365,7 +367,7 @@ TEST(TransitionSystemAudit, DetectsCorruptCachedRotation) {
 }
 
 TEST(TransitionSystemAudit, DetectsCorruptRenameMaps) {
-  TransitionSystem ts = small_conjunctive();
+  TransitionSystem ts = small_shift();
   AuditInjector::corrupt_rename_map(ts);
   const auto report = ts.audit();
   EXPECT_FALSE(report.ok());

@@ -221,7 +221,6 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
       load_transition_system(stream, reg));
 
   EXPECT_EQ(loaded->num_state_vars(), orig->num_state_vars());
-  EXPECT_EQ(loaded->partition_kind(), orig->partition_kind());
   EXPECT_EQ(loaded->partition().size(), orig->partition().size());
   EXPECT_TRUE(loaded->reachable_computed());
   EXPECT_EQ(loaded->num_states(), orig->num_states());
@@ -249,39 +248,14 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
   }
 }
 
-TEST(BddStoreTransitionSystem, ConjunctivePartitionKindSurvives) {
-  constexpr std::uint32_t kVars = 3;
-  auto mgr = std::make_shared<BddManager>(2 * kVars);
-  auto reg = kripke::make_registry();
-  const auto scope = mgr->protect_scope();
-  std::vector<Bdd> parts;
-  for (std::uint32_t v = 0; v < kVars; ++v)
-    parts.push_back(mgr->bdd_iff(
-        mgr->var(TransitionSystem::primed(v)),
-        mgr->bdd_not(mgr->var(TransitionSystem::unprimed((v + 1) % kVars)))));
-  const Bdd initial = state_minterm(*mgr, kVars, 0, false);
-  const TransitionSystem orig(mgr, kVars, initial, parts,
-                              PartitionKind::kConjunctive, reg, {}, {});
-
-  std::stringstream stream;
-  save_transition_system(orig, stream);
-  const TransitionSystem loaded = load_transition_system(stream, reg);
-  EXPECT_EQ(loaded.partition_kind(), PartitionKind::kConjunctive);
-  EXPECT_EQ(loaded.partition().size(), kVars);
-  // The fixpoint was never computed, so it must not have been saved...
-  EXPECT_FALSE(loaded.reachable_computed());
-  // ...and recomputing it on the loaded side matches the original.
-  EXPECT_EQ(loaded.num_states(), orig.num_states());
-  EXPECT_EQ(loaded.manager().sat_count_exact(loaded.initial()),
-            mgr->sat_count_exact(orig.initial()));
-}
-
-/// A save_transition_system header written by hand — disjunctive, no
-/// props, no index set, no saved reach — so a test can pair it with a BDD
-/// section that no TransitionSystem would have produced.
-std::string system_header(std::uint32_t num_state_vars, std::uint32_t num_parts) {
+/// A save_transition_system header written by hand — no props, no index
+/// set, no saved reach, partition kind tag `kind` (0, disjunctive, is what
+/// the store writes) — so a test can pair it with a BDD section that no
+/// TransitionSystem would have produced.
+std::string system_header(std::uint32_t num_state_vars, std::uint32_t num_parts,
+                          std::uint32_t kind = 0) {
   std::string header = "ICTLTS1\n";
-  for (const std::uint32_t field : {1u, num_state_vars, 0u, num_parts, 0u, 0u, 0u})
+  for (const std::uint32_t field : {1u, num_state_vars, kind, num_parts, 0u, 0u, 0u})
     for (int i = 0; i < 4; ++i) header.push_back(static_cast<char>(field >> (8 * i)));
   std::uint64_t fnv = 0xcbf29ce484222325ULL;  // FNV-1a, as the store writes it
   for (const char c : header)
@@ -328,6 +302,46 @@ TEST(BddStoreTransitionSystem, SupportOutsideTheStateVariablesIsATypedError) {
   }
 }
 
+TEST(BddStoreTransitionSystem, ConjunctiveKindTagIsATypedError) {
+  // Tag 1 named a conjunctive partition, which no system has.  A header
+  // carrying it, over a BDD section that is otherwise a valid system, is
+  // refused; the same blob with tag 0 loads.
+  auto reg = kripke::make_registry();
+  auto mgr = std::make_shared<BddManager>(4);
+  const BddRef stay = mgr->bdd_and(mgr->bdd_iff(mgr->var(1), mgr->var(0)),
+                                   mgr->bdd_iff(mgr->var(3), mgr->var(2)));
+  const BddRef start = mgr->bdd_and(mgr->nvar(0), mgr->nvar(2));
+  const std::vector<std::pair<std::string, Bdd>> roots = {{"initial", start.get()},
+                                                          {"part/0", stay.get()}};
+  for (const std::uint32_t kind : {0u, 1u}) {
+    std::stringstream stream;
+    stream << system_header(2, 1, kind);
+    save_bdds(*mgr, stream, roots);
+    if (kind == 0) {
+      EXPECT_DOUBLE_EQ(load_transition_system(stream, reg).num_reachable(), 1.0);
+    } else {
+      EXPECT_THROW(static_cast<void>(load_transition_system(stream, reg)), ModelError);
+    }
+  }
+}
+
+TEST(BddStoreTransitionSystem, ASeparatedOrderFailsToLoad) {
+  // The store saves the variable order with the nodes.  A ring saved after
+  // swap_adjacent_levels separated one of its (x, x') pairs is refused at
+  // load, where the system saved before the swap reloads.
+  auto reg = kripke::make_registry();
+  const SymbolicRing ring = build_symbolic_ring(3, nullptr, reg);
+  static_cast<void>(ring.system->reachable());
+  std::stringstream adjacent;
+  save_transition_system(*ring.system, adjacent);
+  ring.system->manager().swap_adjacent_levels(1);  // x0' below x1
+  std::stringstream separated;
+  save_transition_system(*ring.system, separated);
+  EXPECT_EQ(load_transition_system(adjacent, reg).num_states(),
+            ring.system->num_states());
+  EXPECT_THROW(static_cast<void>(load_transition_system(separated, reg)), ModelError);
+}
+
 TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
   auto reg = kripke::make_registry();
 
@@ -354,7 +368,6 @@ TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
   EXPECT_TRUE(loaded->reachable_computed());
   EXPECT_EQ(loaded->num_states(), states);
   EXPECT_EQ(loaded->partition().size(), ring.system->partition().size());
-  EXPECT_EQ(loaded->partition_kind(), ring.system->partition_kind());
   EXPECT_EQ(loaded->num_state_vars(), ring.system->num_state_vars());
   EXPECT_EQ(loaded->manager().sat_count_exact(loaded->initial()),
             ring.system->manager().sat_count_exact(ring.system->initial()));

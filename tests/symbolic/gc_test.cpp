@@ -2,9 +2,9 @@
 // the external root counts), protect_scope deferral, the mark-and-sweep
 // garbage collector (leak gate: live_nodes returns to its pre-scope
 // baseline once the scope's intermediates die), the retired-handle hard
-// errors, the pause/resume balance check, and a randomized op/ref-drop
-// stress suite that audits check_invariants() after every sweep and
-// reorder against shadow truth tables.
+// errors, and a randomized op/ref-drop stress suite that audits
+// check_invariants() after every sweep and reorder against shadow truth
+// tables.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -151,23 +151,6 @@ TEST(Gc, ProtectOnRetiredHandleIsAHardError) {
   EXPECT_THROW(mgr.protect(dead), Error);
   EXPECT_THROW(static_cast<void>(BddRef(mgr, dead)), Error);
   ASSERT_TRUE(mgr.check_invariants());
-}
-
-TEST(Reorder, ResumeWithoutMatchingPauseIsAHardError) {
-  BddManager mgr(4);
-  // Balanced nesting is fine...
-  mgr.pause_reordering();
-  mgr.pause_reordering();
-  mgr.resume_reordering();
-  mgr.resume_reordering();
-  // ...but one extra resume would underflow the depth and permanently
-  // suppress pending reorders: hard error instead.
-  EXPECT_THROW(mgr.resume_reordering(), Error);
-  // The failed call must not have corrupted the depth: a fresh balanced
-  // pair still works.
-  mgr.pause_reordering();
-  mgr.resume_reordering();
-  EXPECT_THROW(mgr.resume_reordering(), Error);
 }
 
 TEST(Gc, DeadNodesReviveOnUniqueTableHitUntilSwept) {

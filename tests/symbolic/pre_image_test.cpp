@@ -2,8 +2,8 @@
 // rename + and_exists on random relations and sets, under the identity and
 // scrambled pair orders and across a sift; TransitionSystem's
 // reachable_pre_image must equal reachable() & pre_image(S) handle for
-// handle on rings, and orders that separate an (x, x') pair or conjunctive
-// partitions must keep answering through the rename + and_exists paths.
+// handle on rings, and an order that separates an (x, x') pair after
+// construction must be a typed error until the pair is rejoined.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -117,7 +117,6 @@ TEST(ReachablePreImage, EqualsReachAndPreImageOnRings) {
       const SymbolicRing ring = build_symbolic_ring(r, nullptr, nullptr, options);
       const TransitionSystem& ts = *ring.system;
       BddManager& mgr = ts.manager();
-      ASSERT_TRUE(ts.fused_pre_images());
       const BddRef reach(mgr, ts.reachable());
       // The props, the reachable set, and a backward chain from each prop:
       // the sets an EU or EG round pre-images.
@@ -151,54 +150,33 @@ TEST(ReachablePreImage, EqualsReachAndPreImageOnRings) {
   }
 }
 
-TEST(ReachablePreImage, SeparatedOrdersAndConjunctivePartitionsKeepTheOldPaths) {
-  // The systems of SaturationSplit.UnsplittableSystemsFallBackToTheFrontierLoop:
-  // two state variables, each part flipping one of them, under the
-  // interleaved order and under x0 x1 x0' x1', where no pair is adjacent.
+TEST(ReachablePreImage, ASeparatedPairIsATypedErrorUntilRejoined) {
+  // Two state variables, each part flipping one of them.  Swapping x0'
+  // below x1 separates both pairs after construction: the next pre-image
+  // must refuse the order instead of cofactoring the wrong variables, and
+  // swapping back must restore the same answer.
   auto reg = kripke::make_registry();
-  for (const bool adjacent : {true, false}) {
-    auto mgr = std::make_shared<BddManager>(4);
-    if (!adjacent) mgr->set_initial_order({0, 2, 1, 3});
-    const auto flip = [&](std::uint32_t v) {
-      const std::uint32_t w = 1 - v;
-      return mgr->bdd_and(mgr->bdd_xor(mgr->var(TransitionSystem::unprimed(v)),
-                                       mgr->var(TransitionSystem::primed(v))),
-                          mgr->bdd_iff(mgr->var(TransitionSystem::unprimed(w)),
-                                       mgr->var(TransitionSystem::primed(w))));
-    };
-    const BddRef flip0 = flip(0), flip1 = flip(1);
-    const BddRef initial = mgr->bdd_and(mgr->nvar(0), mgr->nvar(2));
-    const TransitionSystem ts(mgr, 2, initial, {flip0, flip1},
-                              PartitionKind::kDisjunctive, reg, {}, {});
-    EXPECT_EQ(ts.fused_pre_images(), adjacent);
-    // From 00 a flip of x0 reaches 10 (x0 is state variable 0).
-    const BddRef pre = ts.reachable_pre_image(initial);
-    EXPECT_EQ(pre.get(), mgr->bdd_and(ts.reachable(), ts.pre_image(initial)).get());
-    EXPECT_EQ(pre.get(), mgr->bdd_xor(mgr->var(0), mgr->var(2)).get())
-        << "adjacent=" << adjacent;
-    EXPECT_EQ(ts.reachable_transitions_computed(), adjacent);
-    // The choice follows the order across reorders: swapping x0' below x1
-    // separates the pairs, swapping back rejoins them.
-    if (adjacent) {
-      mgr->swap_adjacent_levels(1);
-      EXPECT_FALSE(ts.fused_pre_images());
-      EXPECT_EQ(ts.reachable_pre_image(initial).get(), pre.get());
-      mgr->swap_adjacent_levels(1);
-      EXPECT_TRUE(ts.fused_pre_images());
-      EXPECT_EQ(ts.reachable_pre_image(initial).get(), pre.get());
-    }
-  }
   auto mgr = std::make_shared<BddManager>(4);
-  const BddRef stay = mgr->bdd_iff(mgr->var(0), mgr->var(1));
-  const BddRef free1 = mgr->bdd_or(mgr->var(2), mgr->nvar(2));
-  const TransitionSystem conjunctive(mgr, 2, mgr->nvar(0), {stay, free1},
-                                     PartitionKind::kConjunctive, reg, {}, {});
-  EXPECT_FALSE(conjunctive.fused_pre_images());
-  const BddRef x1 = mgr->var(2);
-  const BddRef pre = conjunctive.reachable_pre_image(x1);
-  EXPECT_EQ(pre.get(), mgr->bdd_and(conjunctive.reachable(), conjunctive.pre_image(x1)).get());
-  EXPECT_EQ(pre.get(), conjunctive.reachable());  // every state steps anywhere in x1
-  EXPECT_FALSE(conjunctive.reachable_transitions_computed());
+  const auto flip = [&](std::uint32_t v) {
+    const std::uint32_t w = 1 - v;
+    return mgr->bdd_and(mgr->bdd_xor(mgr->var(TransitionSystem::unprimed(v)),
+                                     mgr->var(TransitionSystem::primed(v))),
+                        mgr->bdd_iff(mgr->var(TransitionSystem::unprimed(w)),
+                                     mgr->var(TransitionSystem::primed(w))));
+  };
+  const BddRef flip0 = flip(0), flip1 = flip(1);
+  const BddRef initial = mgr->bdd_and(mgr->nvar(0), mgr->nvar(2));
+  const TransitionSystem ts(mgr, 2, initial, {flip0, flip1}, reg, {}, {});
+  // From 00 a flip of x0 reaches 10 (x0 is state variable 0).
+  const BddRef pre = ts.reachable_pre_image(initial);
+  EXPECT_EQ(pre.get(), mgr->bdd_xor(mgr->var(0), mgr->var(2)).get());
+  mgr->swap_adjacent_levels(1);
+  EXPECT_THROW(static_cast<void>(ts.reachable_pre_image(initial)), Error);
+  EXPECT_THROW(static_cast<void>(ts.pre_image(initial)), Error);
+  EXPECT_TRUE(mgr->check_invariants());
+  mgr->swap_adjacent_levels(1);
+  EXPECT_EQ(ts.reachable_pre_image(initial).get(), pre.get());
+  EXPECT_TRUE(ts.audit().ok());
 }
 
 TEST(ReachablePreImage, AdoptingAReachableSetDropsTheRestrictedRelation) {

@@ -125,70 +125,8 @@ TEST(FromStructure, BridgeStaysSinglePartition) {
   const auto m = testing::random_structure(reg, 9, 3);
   const TransitionSystem ts = from_structure(m);
   EXPECT_EQ(ts.partition().size(), 1u);
-  EXPECT_EQ(ts.partition_kind(), PartitionKind::kDisjunctive);
   EXPECT_EQ(ts.transitions(), ts.partition()[0]);
   EXPECT_EQ(ts.relation_node_count(), ts.manager().dag_size(ts.transitions()));
-}
-
-/// Builds the x_v' <-> (x_v XOR x_{v-1}) relation for one state var — a
-/// little synchronous shift-xor network whose natural description is a
-/// CONJUNCTION of per-variable constraints with overlapping supports (each
-/// part reads its left neighbour), exercising the early-quantification
-/// schedule for real.
-Bdd xor_shift_part(BddManager& m, std::uint32_t v, std::uint32_t prev) {
-  const Bdd cur = m.var(TransitionSystem::unprimed(v));
-  const Bdd left = m.var(TransitionSystem::unprimed(prev));
-  return m.bdd_iff(m.var(TransitionSystem::primed(v)), m.bdd_xor(cur, left));
-}
-
-TEST(TransitionSystem, ConjunctivePartitionMatchesMonolithic) {
-  constexpr std::uint32_t kVars = 4;
-  auto mgr = std::make_shared<BddManager>(2 * kVars);
-  auto reg = kripke::make_registry();
-  std::vector<Bdd> parts;
-  for (std::uint32_t v = 0; v < kVars; ++v)
-    parts.push_back(xor_shift_part(*mgr, v, (v + kVars - 1) % kVars));
-  const Bdd initial = state_minterm(*mgr, kVars, /*s=*/1, /*primed=*/false);
-
-  const TransitionSystem partitioned(mgr, kVars, initial, parts,
-                                     PartitionKind::kConjunctive, reg, {}, {});
-  Bdd monolithic = kBddTrue;
-  for (const Bdd p : parts) monolithic = mgr->bdd_and(monolithic, p);
-  const TransitionSystem reference(mgr, kVars, initial, monolithic, reg, {}, {});
-
-  EXPECT_EQ(partitioned.transitions(), monolithic);
-  // Images agree on a spread of state sets, including non-product ones.
-  std::vector<Bdd> sets = {initial, mgr->var(TransitionSystem::unprimed(0)),
-                           mgr->bdd_xor(mgr->var(TransitionSystem::unprimed(1)),
-                                        mgr->var(TransitionSystem::unprimed(3)))};
-  for (const Bdd s : sets) {
-    EXPECT_EQ(partitioned.pre_image(s), reference.pre_image(s));
-    EXPECT_EQ(partitioned.post_image(s), reference.post_image(s));
-  }
-  EXPECT_EQ(partitioned.reachable(), reference.reachable());
-  EXPECT_DOUBLE_EQ(partitioned.num_reachable(), reference.num_reachable());
-}
-
-TEST(TransitionSystem, ConjunctiveScheduleHandlesUntouchedVariables) {
-  // Parts that never mention state var 2 (in any form): the leading cubes
-  // of the quantification schedule must still retire it.
-  constexpr std::uint32_t kVars = 3;
-  auto mgr = std::make_shared<BddManager>(2 * kVars);
-  auto reg = kripke::make_registry();
-  // x0' <-> !x0, and x1' <-> x1; state var 2 is absent everywhere, meaning
-  // T allows it to move freely.
-  std::vector<Bdd> parts = {
-      mgr->bdd_iff(mgr->var(TransitionSystem::primed(0)),
-                   mgr->bdd_not(mgr->var(TransitionSystem::unprimed(0)))),
-      mgr->bdd_iff(mgr->var(TransitionSystem::primed(1)),
-                   mgr->var(TransitionSystem::unprimed(1)))};
-  const Bdd initial = state_minterm(*mgr, kVars, 0, false);
-  const TransitionSystem ts(mgr, kVars, initial, parts, PartitionKind::kConjunctive,
-                            reg, {}, {});
-  // From 000: x0 flips, x1 held, x2 free — 2 successors; the reachable set
-  // is {x1 = 0} (4 states).
-  EXPECT_DOUBLE_EQ(ts.count_states(ts.post_image(initial)), 2.0);
-  EXPECT_DOUBLE_EQ(ts.num_reachable(), 4.0);
 }
 
 TEST(TransitionSystem, DisjunctivePartitionMatchesMonolithic) {
@@ -210,8 +148,7 @@ TEST(TransitionSystem, DisjunctivePartitionMatchesMonolithic) {
         mgr->bdd_and(state_minterm(*mgr, bits, s, false), targets));
   }
   const TransitionSystem partitioned(mgr, bits, reference.initial(), parts,
-                                     PartitionKind::kDisjunctive, m.registry(),
-                                     {}, {});
+                                     m.registry(), {}, {});
   EXPECT_EQ(partitioned.transitions(), reference.transitions());
   EXPECT_GT(partitioned.partition().size(), 1u);
   std::vector<Bdd> sets = {reference.initial(),
@@ -228,21 +165,39 @@ TEST(TransitionSystem, DisjunctivePartitionMatchesMonolithic) {
 
 TEST(TransitionSystem, RejectsBadConstruction) {
   auto mgr = std::make_shared<BddManager>(4);
-  EXPECT_THROW(TransitionSystem(nullptr, 2, kBddTrue, kBddTrue,
+  EXPECT_THROW(TransitionSystem(nullptr, 2, kBddTrue, {kBddTrue},
                                 kripke::make_registry(), {}, {}),
                ModelError);
-  EXPECT_THROW(TransitionSystem(mgr, 0, kBddTrue, kBddTrue,
+  EXPECT_THROW(TransitionSystem(mgr, 0, kBddTrue, {kBddTrue},
                                 kripke::make_registry(), {}, {}),
                ModelError);
   // 3 state vars need 6 BDD vars; the manager owns only 4.
-  EXPECT_THROW(TransitionSystem(mgr, 3, kBddTrue, kBddTrue,
+  EXPECT_THROW(TransitionSystem(mgr, 3, kBddTrue, {kBddTrue},
                                 kripke::make_registry(), {}, {}),
                ModelError);
   // An empty partition has no transition relation at all.
   EXPECT_THROW(TransitionSystem(mgr, 2, kBddTrue, std::vector<Bdd>{},
-                                PartitionKind::kDisjunctive,
                                 kripke::make_registry(), {}, {}),
                ModelError);
+}
+
+TEST(TransitionSystem, RejectsAnOrderThatSeparatesAPair) {
+  // Under x0 x1 x0' x1' neither (x, x') pair sits on adjacent levels, so
+  // neither pair_pre_image nor saturation could step through the relation.
+  auto mgr = std::make_shared<BddManager>(4);
+  mgr->set_initial_order({0, 2, 1, 3});
+  const BddRef stay0 = mgr->bdd_iff(mgr->var(0), mgr->var(1));
+  const BddRef stay = mgr->bdd_and(stay0, mgr->bdd_iff(mgr->var(2), mgr->var(3)));
+  const BddRef initial = mgr->nvar(0);
+  EXPECT_THROW(TransitionSystem(mgr, 2, initial, {stay}, kripke::make_registry(), {}, {}),
+               ModelError);
+  // One state variable over the same manager: its pair (0, 1) is split by
+  // variable 2 just the same.
+  EXPECT_THROW(TransitionSystem(mgr, 1, initial, {stay0}, kripke::make_registry(), {}, {}),
+               ModelError);
+  // build_symbolic_ring refuses such a manager before it emits a rule.
+  EXPECT_THROW(static_cast<void>(build_symbolic_ring(2, mgr)), ModelError);
+  EXPECT_TRUE(mgr->check_invariants());
 }
 
 }  // namespace
