@@ -57,12 +57,17 @@ void report_manager_counters(benchmark::State& state,
 void BM_SymbolicBuildRing(benchmark::State& state) {
   const auto r = static_cast<std::uint32_t>(state.range(0));
   std::size_t relation_nodes = 0;
+  std::size_t slots = 0;
   for (auto _ : state) {
     const auto ring = symbolic::build_symbolic_ring(r);
     relation_nodes = ring.system->relation_node_count();
+    slots = ring.system->manager().num_nodes();
     benchmark::DoNotOptimize(relation_nodes);
   }
   state.counters["relation_nodes"] = static_cast<double>(relation_nodes);
+  // Node slots the build allocated on its fresh manager: beside
+  // relation_nodes, the build's allocation ratio.
+  state.counters["slots"] = static_cast<double>(slots);
   state.SetComplexityN(r);
 }
 BENCHMARK(BM_SymbolicBuildRing)

@@ -76,12 +76,22 @@ class Reader {
   explicit Reader(std::istream& in) : in_(in) {}
 
   void bytes(void* data, std::size_t n) {
+    unfolded(data, n);
+    fold(static_cast<const unsigned char*>(data), n);
+  }
+  /// bytes() without the fold: the caller folds the same bytes, in order,
+  /// before its next read.  Lets the checksum's serial multiply chain run
+  /// inside a loop that does other work with those bytes.
+  void unfolded(void* data, std::size_t n) {
     in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     support::require<Error>(
         !in_.fail() && static_cast<std::size_t>(in_.gcount()) == n,
         "bdd_store: truncated stream");
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) fnv_ = (fnv_ ^ p[i]) * kFnvPrime;
+  }
+  void fold(const unsigned char* p, std::size_t n) {
+    std::uint64_t h = fnv_;
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
+    fnv_ = h;
   }
   std::uint32_t u32() {
     unsigned char b[4];
@@ -218,7 +228,8 @@ LoadedBdds load_bdds(std::istream& in) {
   // when the stream is seekable, cross-check the declared counts against the
   // bytes actually present (12 per node record, >= 8 per root entry, 8 for
   // the trailing checksum) before reserving anything.
-  if (const auto left = remaining_bytes(in)) {
+  const auto left = remaining_bytes(in);
+  if (left) {
     const std::uint64_t need_nodes = num_nodes * std::uint64_t{12};
     support::require<Error>(*left >= 8 && need_nodes <= *left - 8,
                             "load_bdds: node count exceeds remaining file size");
@@ -234,21 +245,31 @@ LoadedBdds load_bdds(std::istream& in) {
 
   // Every record is read and checked before any node is built, so the
   // manager can size its tables once (make_nodes) instead of growing them
-  // record by record.  Records arrive in chunks: one stream read and one
-  // checksum pass per chunk instead of three per record.
+  // record by record.  Records arrive in chunks, one stream read per chunk
+  // instead of three per record; each record's 12 bytes are folded into
+  // the checksum in the loop that checks them, so the checks run while the
+  // fold's multiply chain is in flight.
   std::vector<std::uint32_t> var_level(num_vars);
   for (std::uint32_t l = 0; l < num_vars; ++l) var_level[level2var[l]] = l;
   // The level of each file id, terminals below every variable.
-  std::vector<std::uint32_t> level(2 + num_nodes, 0xffffffffu);
+  std::vector<std::uint32_t> level = {0xffffffffu, 0xffffffffu};
   std::vector<std::array<std::uint32_t, 3>> records;
+  // Sized once when the count was checked against the bytes present; an
+  // unseekable stream's count is unchecked, so its vectors grow as records
+  // actually arrive.
+  if (left) {
+    level.reserve(2 + num_nodes);
+    records.reserve(num_nodes);
+  }
   constexpr std::uint64_t kChunk = 4096;
   std::vector<unsigned char> chunk(12 * std::min(num_nodes, kChunk));
   for (std::uint64_t first = 0; first < num_nodes; first += kChunk) {
     const std::uint64_t count = std::min(kChunk, num_nodes - first);
-    r.bytes(chunk.data(), 12 * count);
+    r.unfolded(chunk.data(), 12 * count);
     for (std::uint64_t j = 0; j < count; ++j) {
       const std::uint64_t id = 2 + first + j;
       const unsigned char* rec = chunk.data() + 12 * j;
+      r.fold(rec, 12);
       const std::uint32_t var = le32(rec);
       const std::uint32_t low = le32(rec + 4);
       const std::uint32_t high = le32(rec + 8);
@@ -257,9 +278,10 @@ LoadedBdds load_bdds(std::istream& in) {
       if (var >= num_vars) throw Error("load_bdds: node variable out of range");
       if (low >= id || high >= id) throw Error("load_bdds: node references a later node");
       if (low == high) throw Error("load_bdds: unreduced node record");
-      level[id] = var_level[var];
-      if (level[id] >= level[low] || level[id] >= level[high])
+      const std::uint32_t at = var_level[var];
+      if (at >= level[low] || at >= level[high])
         throw Error("load_bdds: node record violates the variable order");
+      level.push_back(at);
       records.push_back({var, low, high});
     }
   }
@@ -271,7 +293,7 @@ LoadedBdds load_bdds(std::istream& in) {
   const auto scope = mgr.protect_scope();
   std::vector<Bdd> handle = {kBddFalse, kBddTrue};
   mgr.make_nodes(records, handle);
-  result.roots.reserve(num_roots);
+  if (left) result.roots.reserve(num_roots);
   for (std::uint32_t k = 0; k < num_roots; ++k) {
     const std::uint32_t name_len = r.u32();
     support::require<Error>(name_len <= kMaxNameLen, "load_bdds: corrupt root name");

@@ -1,6 +1,7 @@
 #include "symbolic/ring_encoding.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "support/error.hpp"
@@ -79,6 +80,98 @@ class ChainBuilder {
   std::vector<std::uint32_t> vars_by_level_;
 };
 
+/// What a layered automaton reads at one ring position: the values of the
+/// process's d_i, d'_i, h_i, h'_i.
+struct Letter {
+  bool d = false;
+  bool d_next = false;
+  bool h = false;
+  bool h_next = false;
+  /// The step leaves the process untouched: d' = d and h' = h.
+  [[nodiscard]] bool framed() const { return d_next == d && h_next == h; }
+};
+
+/// An automaton's successor on a letter it does not accept.
+constexpr std::uint8_t kReject = 0xff;
+
+/// Emits the language of a layered automaton over the ring positions 1..r
+/// as one BDD, bottom-up through make_node: no ITE recursion, no
+/// computed-cache traffic.  `next(q, i, x)` is state q's successor on
+/// letter x at position i (or kReject); state 0 starts, and `accept[q]` is
+/// the function of the phase pair (c, c') state q must meet after position
+/// r.  Each position gives each live state (one some word over the
+/// positions above reaches) one handle: a four-level decision over the
+/// position's letter whose sixteen leaves are the next position's handles.
+/// Needs the canonical order — process 1's block on top, each block
+/// d, d', h, h', the phase pair last — and returns, by canonicity, the
+/// handle every other construction of the same function returns.
+template <std::size_t N, class Next>
+Bdd emit_ring_automaton(BddManager& m, std::uint32_t r, const std::array<Bdd, N>& accept,
+                        const Next& next) {
+  static_assert(N <= 8, "live state sets are bytes");
+  // Letter l carries d, d', h, h' in its bits 3..0.
+  std::array<Letter, 16> letters;
+  for (std::uint32_t l = 0; l < 16; ++l)
+    letters[l] = {(l & 8) != 0, (l & 4) != 0, (l & 2) != 0, (l & 1) != 0};
+
+  std::vector<std::uint8_t> live(r + 1, 0);  // bit q: state q is live at i
+  live[1] = 1;
+  for (std::uint32_t i = 1; i < r; ++i)
+    for (std::uint32_t q = 0; q < N; ++q)
+      if (((live[i] >> q) & 1u) != 0)
+        for (const Letter& x : letters)
+          if (const std::uint8_t s = next(q, i, x); s != kReject)
+            live[i + 1] |= static_cast<std::uint8_t>(1u << s);
+
+  std::array<Bdd, N> below = accept;
+  for (std::uint32_t i = r; i >= 1; --i) {
+    const std::array<std::uint32_t, 4> deepest_first = {
+        TransitionSystem::primed(SymbolicRing::holder_var(i)),
+        TransitionSystem::unprimed(SymbolicRing::holder_var(i)),
+        TransitionSystem::primed(SymbolicRing::delayed_var(i)),
+        TransitionSystem::unprimed(SymbolicRing::delayed_var(i))};
+    std::array<Bdd, N> here{};
+    for (std::uint32_t q = 0; q < N; ++q) {
+      if (((live[i] >> q) & 1u) == 0) continue;
+      std::array<Bdd, 16> level;
+      for (std::uint32_t l = 0; l < 16; ++l) {
+        const std::uint8_t s = next(q, i, letters[l]);
+        level[l] = s == kReject ? kBddFalse : below[s];
+      }
+      // Each pass decides the lowest remaining letter bit: h', h, d', d.
+      std::size_t width = 16;
+      for (const std::uint32_t v : deepest_first) {
+        width /= 2;
+        for (std::size_t k = 0; k < width; ++k)
+          level[k] = m.make_node(v, level[2 * k], level[2 * k + 1]);
+      }
+      here[q] = level[0];
+    }
+    below = here;
+  }
+  return below[0];
+}
+
+/// Theta t, "exactly one h_i", as a two-state automaton over the unprimed
+/// holder bits, emitted bottom-up through make_node.  The function is
+/// symmetric in those bits, so it reads the same in any variable order.
+Bdd exactly_one_holder(BddManager& m, std::uint32_t r) {
+  std::vector<std::uint32_t> holder_bits(r);
+  for (std::uint32_t i = 1; i <= r; ++i)
+    holder_bits[i - 1] = TransitionSystem::unprimed(SymbolicRing::holder_var(i));
+  std::sort(holder_bits.begin(), holder_bits.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return m.level_of_var(a) > m.level_of_var(b);
+  });
+  Bdd none = kBddFalse;  // no holder bit set above this level
+  Bdd one = kBddTrue;    // one holder bit set above this level
+  for (const std::uint32_t v : holder_bits) {
+    const Bdd none_here = m.make_node(v, none, one);
+    one = m.make_node(v, one, kBddFalse);
+    none = none_here;
+  }
+  return none;
+}
+
 }  // namespace
 
 SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mgr,
@@ -91,7 +184,8 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   support::require<ModelError>(
       r <= kMaxSymbolicRingSize,
       "build_symbolic_ring: capped at r = " + std::to_string(kMaxSymbolicRingSize) +
-          " (the rule-2 relation build is cubic in r)");
+          " (the largest size the suites cover; under a scrambled variable "
+          "order the rule-2 build is cubic in r)");
 
   const std::uint32_t num_state_vars = 2 * r + 1;
   if (mgr == nullptr) mgr = std::make_shared<BddManager>(2 * num_state_vars);
@@ -114,16 +208,43 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   // The whole build runs under one protect_scope: it defers both garbage
   // collection and growth-triggered reordering (a shared manager may arrive
   // with a growth hook from an earlier dynamic_reordering build, or with
-  // auto-GC armed), so every raw make_node chain below stays valid until
+  // auto-GC armed), so every raw make_node handle below stays valid until
   // the TransitionSystem constructor roots what it retains.
   const auto frozen_order = m.protect_scope();
   ChainBuilder chain(m, num_state_vars);
 
   // ---- Transition relation: the four Section 5 rules, partitioned -----------
+  // Under the canonical order (the identity on the ring's variables) rules 1
+  // and 2 are layered automata over the process positions.  A scrambled
+  // order builds one constraint chain per rule instance and ORs them per
+  // part instead: the guards tie d_i to h_i and each receiver to ring
+  // order, so an automaton reading the levels in a scrambled order would
+  // have to remember which positions it has already passed.
+  const bool canonical_order = [&] {
+    for (std::uint32_t v = 0; v < 2 * num_state_vars; ++v)
+      if (m.level_of_var(v) != v) return false;
+    return true;
+  }();
+  const std::uint32_t cu = TransitionSystem::unprimed(c_var);
+  const std::uint32_t cp = TransitionSystem::primed(c_var);
   std::vector<Bdd> partition;
 
-  // Rule 1 (one partition): a neutral process becomes delayed.
-  {
+  // Rule 1 (one partition): a neutral process becomes delayed
+  // (!d_i, d'_i, !h_i, !h'_i), every other variable framed.
+  if (canonical_order) {
+    // Two states: waiting (every position so far framed), moved.
+    constexpr std::uint8_t kWaiting = 0;
+    constexpr std::uint8_t kMoved = 1;
+    const std::array<Bdd, 2> accept = {
+        kBddFalse, m.make_node(cu, m.make_node(cp, kBddTrue, kBddFalse),
+                               m.make_node(cp, kBddFalse, kBddTrue))};
+    partition.push_back(emit_ring_automaton(
+        m, r, accept, [](std::uint32_t q, std::uint32_t, Letter x) -> std::uint8_t {
+          if (x.framed()) return static_cast<std::uint8_t>(q);
+          const bool becomes_delayed = !x.d && x.d_next && !x.h && !x.h_next;
+          return q == kWaiting && becomes_delayed ? kMoved : kReject;
+        }));
+  } else {
     std::vector<Bdd> cases;
     cases.reserve(r);
     for (std::uint32_t i = 1; i <= r; ++i) {
@@ -148,134 +269,74 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
     chain.at(SymbolicRing::delayed_var(i)) = {Unprimed::kFalse, Primed::kFrame};
   partition.push_back(chain.build());
 
-  // Rule 2 (clustered partitions): holder j hands the token to i = cln(j) —
-  // the closest delayed process to j's left; i enters its critical section,
-  // j goes neutral.  Per (j, i) pair the guard is h_j & d_i & (no delayed
-  // strictly between i and j, walking left from j); per-holder relations
-  // are OR-ed into clusters of ceil(r / 16) holders — at most 16 rule-2
-  // parts however large the ring.
+  // Rule 2 (clustered partitions): holder j hands the token to i = cln(j),
+  // the closest delayed process walking left from j (j-1, ..., 1, r, ...,
+  // j+1); i enters its critical section, j goes neutral.  Per (j, i): h_j,
+  // !h'_j; d_i, !d'_i, h'_i; !d_k framed at every k strictly between; c' = 1;
+  // the rest framed.  Holders are clustered ceil(r / 16) at a time — at
+  // most 16 rule-2 parts however large the ring.
   const std::uint32_t cluster_width = (r + 15) / 16;
-  std::vector<Bdd> holder_relations(r + 1, kBddFalse);
-
-  const bool canonical_order = [&] {
-    for (std::uint32_t v = 0; v < 2 * num_state_vars; ++v)
-      if (m.level_of_var(v) != v) return false;
-    return true;
-  }();
-
-  if (canonical_order) {
-    // Fast path, O(r^2): under the identity order the leftward walk from j
-    // visits positions in DESCENDING variable order, so the union over
-    // receivers is a priority encoder that folds bottom-up — per holder,
-    // one small OR per position instead of one O(r) chain per (j, i) pair.
-    // Composite helpers stack a position's (d_i, h_i) constraint pairs on
-    // top of `below`, innermost (h) first.
-    const Bdd cnode =  // c free, c' = 1: the shared bottom of every rule
-        m.make_node(TransitionSystem::primed(c_var), kBddFalse, kBddTrue);
-    const auto frame_var = [&](std::uint32_t sv, Bdd below) {
-      const std::uint32_t u = TransitionSystem::unprimed(sv);
-      const std::uint32_t p = TransitionSystem::primed(sv);
-      const Bdd hi = m.make_node(p, kBddFalse, below);
-      const Bdd lo = m.make_node(p, below, kBddFalse);
-      return m.make_node(u, lo, hi);
-    };
-    const auto frame_pos = [&](std::uint32_t i, Bdd below) {
-      return frame_var(SymbolicRing::delayed_var(i),
-                       frame_var(SymbolicRing::holder_var(i), below));
-    };
-    const auto betw_pos = [&](std::uint32_t i, Bdd below) {  // !d_i, d'_i = 0
-      const Bdd h = frame_var(SymbolicRing::holder_var(i), below);
-      const std::uint32_t du = TransitionSystem::unprimed(SymbolicRing::delayed_var(i));
-      const std::uint32_t dp = TransitionSystem::primed(SymbolicRing::delayed_var(i));
-      return m.make_node(du, m.make_node(dp, h, kBddFalse), kBddFalse);
-    };
-    const auto rec_pos = [&](std::uint32_t i, Bdd below) {  // d_i, d'_i=0, h'_i=1
-      const Bdd h = m.make_node(
-          TransitionSystem::primed(SymbolicRing::holder_var(i)), kBddFalse, below);
-      const std::uint32_t du = TransitionSystem::unprimed(SymbolicRing::delayed_var(i));
-      const std::uint32_t dp = TransitionSystem::primed(SymbolicRing::delayed_var(i));
-      return m.make_node(du, kBddFalse, m.make_node(dp, h, kBddFalse));
-    };
-    const auto holder_pos = [&](std::uint32_t j, Bdd below) {  // h_j, h'_j = 0
-      const std::uint32_t hu = TransitionSystem::unprimed(SymbolicRing::holder_var(j));
-      const std::uint32_t hp = TransitionSystem::primed(SymbolicRing::holder_var(j));
-      const Bdd h = m.make_node(hu, kBddFalse, m.make_node(hp, below, kBddFalse));
-      return frame_var(SymbolicRing::delayed_var(j), h);
-    };
-
-    // Suffixes shared by every holder: positions i..r all framed / all
-    // between-clear, above the c-node.
-    std::vector<Bdd> suffix_frame(r + 2), suffix_betw(r + 2);
-    suffix_frame[r + 1] = suffix_betw[r + 1] = cnode;
-    for (std::uint32_t i = r; i >= 1; --i) {
-      suffix_frame[i] = frame_pos(i, suffix_frame[i + 1]);
-      suffix_betw[i] = betw_pos(i, suffix_betw[i + 1]);
-    }
-
-    for (std::uint32_t j = 1; j <= r; ++j) {
-      Bdd t_j = kBddFalse;
-      if (j >= 2) {
-        // Receivers k in [1, j-1]: the closest delayed strictly left of j
-        // with no wrap.  P[m] = betweens at positions m..j-1 above the
-        // holder suffix; V folds "receiver here, or framed here and a
-        // receiver further up" from k = j-1 upward to k = 1.
-        const Bdd s_base = holder_pos(j, suffix_frame[j + 1]);
-        std::vector<Bdd> p(j + 1);
-        p[j] = s_base;
-        for (std::uint32_t mpos = j - 1; mpos >= 1; --mpos)
-          p[mpos] = betw_pos(mpos, p[mpos + 1]);
-        Bdd v = rec_pos(j - 1, p[j]);
-        for (std::uint32_t mpos = j - 1; mpos-- > 1;)
-          v = m.bdd_or(rec_pos(mpos, p[mpos + 1]), frame_pos(mpos, v));
-        t_j = v;
-      }
-      if (j < r) {
-        // Wrap receivers k in [j+1, r]: the walk leaves j leftward through
-        // 1, wraps to r, and descends — so [1, j-1] and (k, r] must be
-        // clear of delayed processes while (j, k) is walked only after k
-        // and stays framed.
-        Bdd g = rec_pos(r, cnode);
-        for (std::uint32_t mpos = r; mpos-- > j + 1;)
-          g = m.bdd_or(rec_pos(mpos, suffix_betw[mpos + 1]), frame_pos(mpos, g));
-        Bdd b = holder_pos(j, g);
-        for (std::uint32_t mpos = j; mpos-- > 1;) b = betw_pos(mpos, b);
-        t_j = t_j == kBddFalse ? b : m.bdd_or(t_j, b);
-      }
-      holder_relations[j] = t_j;
-    }
-  } else {
-    // Generic path (scrambled initial orders): one constraint chain per
-    // (j, i) rule instance in current-level order, OR-ed per holder.
-    for (std::uint32_t j = 1; j <= r; ++j) {
+  const Bdd phase_set = m.make_node(cp, kBddFalse, kBddTrue);  // c free, c' = 1
+  for (std::uint32_t a = 1; a <= r; a += cluster_width) {
+    const std::uint32_t b = std::min(r, a + cluster_width - 1);
+    if (canonical_order) {
+      // Six states over the letters F (framed), B (framed, not delayed),
+      // R (the receiver: d, !d', h') and H (a holder j in [a, b]: d' = d,
+      // h, !h'); B wins over F where both read:
+      //   clear     H -> wrap due, R -> chosen, B -> clear, F -> skipped
+      //   skipped   R -> chosen, F -> skipped
+      //   chosen    B -> chosen, H -> done
+      //   wrap due  R -> wrapped, F -> wrap due
+      //   wrapped   B -> wrapped
+      //   done      F -> done
+      // Done (i < j) and wrapped (i > j) accept, above c' = 1.
+      constexpr std::uint8_t kClear = 0;
+      constexpr std::uint8_t kSkipped = 1;
+      constexpr std::uint8_t kChosen = 2;
+      constexpr std::uint8_t kWrapDue = 3;
+      constexpr std::uint8_t kWrapped = 4;
+      constexpr std::uint8_t kDone = 5;
+      const std::array<Bdd, 6> accept = {kBddFalse, kBddFalse, kBddFalse,
+                                         kBddFalse, phase_set, phase_set};
+      partition.push_back(emit_ring_automaton(
+          m, r, accept, [a, b](std::uint32_t q, std::uint32_t i, Letter x) -> std::uint8_t {
+            const bool f = x.framed();
+            const bool between = f && !x.d;
+            const bool receiver = x.d && !x.d_next && x.h_next;
+            const bool holder = a <= i && i <= b && x.d_next == x.d && x.h && !x.h_next;
+            switch (q) {
+              case kClear:
+                return holder     ? kWrapDue
+                       : receiver ? kChosen
+                       : between  ? kClear
+                       : f        ? kSkipped
+                                  : kReject;
+              case kSkipped: return receiver ? kChosen : f ? kSkipped : kReject;
+              case kChosen: return between ? kChosen : holder ? kDone : kReject;
+              case kWrapDue: return receiver ? kWrapped : f ? kWrapDue : kReject;
+              case kWrapped: return between ? kWrapped : kReject;
+              default: return f ? kDone : kReject;
+            }
+          }));
+    } else {
       std::vector<Bdd> cases;
-      cases.reserve(r - 1);
-      std::vector<std::uint32_t> between;  // grows one i per step leftwards
-      for (std::uint32_t step = 1; step < r; ++step) {
-        const std::uint32_t i = ((j - 1 + r - (step % r)) % r) + 1;
-        chain.reset();
-        chain.at(SymbolicRing::holder_var(j)) = {Unprimed::kTrue, Primed::kFalse};
-        chain.at(SymbolicRing::delayed_var(i)) = {Unprimed::kTrue, Primed::kFalse};
-        chain.at(SymbolicRing::holder_var(i)).update = Primed::kTrue;
-        chain.at(c_var).update = Primed::kTrue;
-        for (const std::uint32_t k : between)
-          chain.at(SymbolicRing::delayed_var(k)) = {Unprimed::kFalse, Primed::kFrame};
-        cases.push_back(chain.build());
-        between.push_back(i);
+      cases.reserve(static_cast<std::size_t>(b - a + 1) * (r - 1));
+      for (std::uint32_t j = a; j <= b; ++j) {
+        std::vector<std::uint32_t> between;  // grows one i per step leftwards
+        for (std::uint32_t step = 1; step < r; ++step) {
+          const std::uint32_t i = (j - 1 + r - step) % r + 1;
+          chain.reset();
+          chain.at(SymbolicRing::holder_var(j)) = {Unprimed::kTrue, Primed::kFalse};
+          chain.at(SymbolicRing::delayed_var(i)) = {Unprimed::kTrue, Primed::kFalse};
+          chain.at(SymbolicRing::holder_var(i)).update = Primed::kTrue;
+          chain.at(c_var).update = Primed::kTrue;
+          for (const std::uint32_t k : between)
+            chain.at(SymbolicRing::delayed_var(k)) = {Unprimed::kFalse, Primed::kFrame};
+          cases.push_back(chain.build());
+          between.push_back(i);
+        }
       }
-      holder_relations[j] = or_all(m, std::move(cases));
-    }
-  }
-
-  {
-    std::vector<Bdd> cluster;
-    std::uint32_t holders_in_cluster = 0;
-    for (std::uint32_t j = 1; j <= r; ++j) {
-      cluster.push_back(holder_relations[j]);
-      if (++holders_in_cluster == cluster_width || j == r) {
-        partition.push_back(or_all(m, std::move(cluster)));
-        cluster.clear();
-        holders_in_cluster = 0;
-      }
+      partition.push_back(or_all(m, std::move(cases)));
     }
   }
 
@@ -303,12 +364,10 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   const auto h = [&](std::uint32_t i) {
     return m.var(TransitionSystem::unprimed(SymbolicRing::holder_var(i)));
   };
-  const Bdd c = m.var(TransitionSystem::unprimed(c_var));
+  const Bdd c = m.var(cu);
 
   std::vector<std::pair<kripke::PropId, Bdd>> props;
   props.reserve(static_cast<std::size_t>(4) * r + 1);
-  Bdd exactly_one_h = kBddFalse;
-  Bdd no_h = kBddTrue;
   for (std::uint32_t i = 1; i <= r; ++i) {
     props.emplace_back(dprop[i], d(i));
     props.emplace_back(
@@ -316,12 +375,8 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
                            m.bdd_and(h(i), m.bdd_not(c))));
     props.emplace_back(tprop[i], h(i));
     props.emplace_back(cprop[i], m.bdd_and(h(i), c));
-    // Running exactly-one scan over the holder bits.
-    exactly_one_h = m.bdd_or(m.bdd_and(exactly_one_h, m.bdd_not(h(i))),
-                             m.bdd_and(no_h, h(i)));
-    no_h = m.bdd_and(no_h, m.bdd_not(h(i)));
   }
-  props.emplace_back(one_t, exactly_one_h);
+  props.emplace_back(one_t, exactly_one_holder(m, r));
 
   std::vector<std::uint32_t> indices(r);
   for (std::uint32_t i = 0; i < r; ++i) indices[i] = i + 1;

@@ -15,12 +15,18 @@
 // explicit engine's canonical shape and |reachable| = r * 2^r.
 //
 // The four transition rules are emitted as a PARTITIONED disjunctive
-// relation (see TransitionSystem): each rule instance is a constraint
-// chain built directly through BddManager::make_node — one pass over the
-// variable order, no ITE recursion — and the rule-2 instances are OR-ed
-// into clusters of ceil(r / 16) consecutive holders instead of one
-// monolithic T.  Labels: d_i = d_i; n_i = neutral or holder-in-T;
-// t_i = h_i; c_i = h_i & c; Theta t = exactly-one h.
+// relation (see TransitionSystem): rules 1, 3 and 4 one part each, rule 2
+// one part per cluster of ceil(r / 16) consecutive holders, never one
+// monolithic T.  Under the canonical order every part is built bottom-up
+// through BddManager::make_node alone, with no ITE recursion: rules 3 and
+// 4 as constraint chains (one pass over the variable order), rule 1 and
+// each rule-2 cluster as layered automata over the process positions (2
+// and 6 states) with one handle per live state per position.  The whole
+// relation then takes O(r) nodes and time; the build allocates about 1.1
+// node slots per relation node (50k slots at r = 256).  A scrambled order
+// builds one chain per rule instance and ORs them per part instead.  Labels:
+// d_i = d_i; n_i = neutral or holder-in-T; t_i = h_i; c_i = h_i & c;
+// Theta t = exactly-one h, a two-state automaton under any order.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +39,10 @@
 
 namespace ictl::symbolic {
 
-/// Cap for the symbolic construction: rule 2 has r(r-1) guard terms of
-/// O(r) literals each, so the build is cubic in r — minutes, not memory,
-/// bound it.  Far past the explicit engine's r = 24; the partitioned
-/// chain-based build holds the cube's constant small enough for r = 256.
+/// Cap for the symbolic construction, far past the explicit engine's
+/// r = 24.  Under the canonical order the build is linear in r; a
+/// scrambled initial order still ORs r(r-1) rule-2 chains of O(r) nodes
+/// each, cubic in r.  256 is as far as the suites and benchmarks go.
 constexpr std::uint32_t kMaxSymbolicRingSize = 256;
 
 struct SymbolicRingOptions {

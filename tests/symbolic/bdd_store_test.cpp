@@ -184,6 +184,51 @@ TEST(BddStore, AllocationBombHeadersAreRejectedBeforeReserving) {
   }
 }
 
+/// A read-only stream buffer that refuses to seek, as a pipe does, so the
+/// loader cannot check declared counts against the bytes present.
+class UnseekableBuf : public std::stringbuf {
+ public:
+  explicit UnseekableBuf(const std::string& bytes) : std::stringbuf(bytes, std::ios::in) {}
+
+ protected:
+  pos_type seekoff(off_type, std::ios::seekdir, std::ios::openmode) override {
+    return pos_type(-1);
+  }
+  pos_type seekpos(pos_type, std::ios::openmode) override { return pos_type(-1); }
+};
+
+TEST(BddStore, UnseekableStreamsSizeNothingByTheirDeclaredCounts) {
+  auto mgr = std::make_shared<BddManager>(4);
+  const BddRef f = mgr->bdd_and(mgr->var(0), mgr->var(3));
+  std::stringstream stream;
+  const std::vector<std::pair<std::string, Bdd>> roots = {{"f", f}};
+  save_bdds(*mgr, stream, roots);
+  const std::string blob = stream.str();
+
+  // An intact store loads through a stream that cannot seek.
+  {
+    UnseekableBuf buf(blob);
+    std::istream in(&buf);
+    const LoadedBdds loaded = load_bdds(in);
+    EXPECT_DOUBLE_EQ(loaded.manager->sat_count(loaded.root("f")), 4.0);
+  }
+  // With no remaining size to check against, a count bomb fails as a
+  // truncated or corrupt stream (a typed Error, not std::bad_alloc): the
+  // loader sizes its vectors by the records and roots it has read, not by
+  // the ~2^31 the header declares.
+  const std::size_t nodes_at = 8 + 4 + 4 + 4 * mgr->num_vars();
+  const std::size_t roots_at = nodes_at + 8;
+  std::string node_bomb = blob;
+  patch_le<std::uint64_t>(node_bomb, nodes_at, std::uint64_t{1} << 31);
+  std::string root_bomb = blob;
+  patch_le<std::uint32_t>(root_bomb, roots_at, (std::uint32_t{1} << 31) + 7);
+  for (const std::string* bomb : {&node_bomb, &root_bomb}) {
+    UnseekableBuf buf(*bomb);
+    std::istream in(&buf);
+    EXPECT_THROW(static_cast<void>(load_bdds(in)), Error);
+  }
+}
+
 TEST(BddStoreTransitionSystem, AllocationBombHeadersAreRejected) {
   auto reg = kripke::make_registry();
   const auto m = testing::random_structure(reg, 9, 5);

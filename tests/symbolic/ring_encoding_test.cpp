@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "../helpers.hpp"
 #include "symbolic/ctl_checker.hpp"
@@ -181,6 +184,136 @@ TEST(SymbolicRing, PartitionedRelationIsEmitted) {
   const SymbolicRing ring = build_symbolic_ring(20);
   const std::uint32_t width = (20u + 15u) / 16u;
   EXPECT_EQ(ring.system->partition().size(), 3u + (20u + width - 1u) / width);
+}
+
+// The rule-by-rule reference for build_symbolic_ring's relation and Theta
+// t, built through ITE alone: each rule instance is a bdd_and of literals
+// (a state variable no literal mentions is framed, x' <-> x), the
+// instances are OR-ed into parts as the partition groups them — rule 1,
+// rule 3, rule 4, then the rule-2 clusters of ceil(r / 16) holders — and
+// Theta t is the running exactly-one scan over the holder bits.
+struct ReferenceRing {
+  std::vector<BddRef> parts;
+  BddRef theta;
+};
+
+ReferenceRing reference_ring(BddManager& m, std::uint32_t r) {
+  const std::uint32_t num_state_vars = 2 * r + 1;
+  using Literal = std::pair<std::uint32_t, bool>;  // (BDD variable, value)
+  const auto u = [](std::uint32_t sv) { return TransitionSystem::unprimed(sv); };
+  const auto p = [](std::uint32_t sv) { return TransitionSystem::primed(sv); };
+  const auto instance = [&](const std::vector<Literal>& literals) {
+    std::vector<std::pair<std::uint32_t, BddRef>> terms;  // (level, term)
+    std::vector<bool> touched(num_state_vars, false);
+    for (const auto& [v, value] : literals) {
+      touched[v / 2] = true;
+      terms.emplace_back(m.level_of_var(v), value ? m.var(v) : m.nvar(v));
+    }
+    for (std::uint32_t sv = 0; sv < num_state_vars; ++sv)
+      if (!touched[sv])
+        terms.emplace_back(m.level_of_var(u(sv)), m.bdd_iff(m.var(u(sv)), m.var(p(sv))));
+    // Deepest first, so each bdd_and stacks one term on the chain below.
+    std::sort(terms.begin(), terms.end(),
+              [](const auto& a, const auto& b) { return a.first > b.first; });
+    BddRef acc(m, kBddTrue);
+    for (const auto& term : terms) acc = m.bdd_and(term.second, acc);
+    return acc;
+  };
+  const auto d = [](std::uint32_t i) { return SymbolicRing::delayed_var(i); };
+  const auto h = [](std::uint32_t i) { return SymbolicRing::holder_var(i); };
+  const std::uint32_t c = 2 * r;
+
+  ReferenceRing ref;
+  BddRef rule1(m, kBddFalse);
+  for (std::uint32_t i = 1; i <= r; ++i)
+    rule1 = m.bdd_or(rule1, instance({{u(d(i)), false}, {p(d(i)), true},
+                                      {u(h(i)), false}, {p(h(i)), false}}));
+  ref.parts.push_back(rule1);
+  ref.parts.push_back(instance({{u(c), false}, {p(c), true}}));
+  std::vector<Literal> rule4 = {{u(c), true}, {p(c), false}};
+  for (std::uint32_t i = 1; i <= r; ++i) {
+    rule4.emplace_back(u(d(i)), false);
+    rule4.emplace_back(p(d(i)), false);
+  }
+  ref.parts.push_back(instance(rule4));
+
+  const std::uint32_t width = (r + 15) / 16;
+  for (std::uint32_t a = 1; a <= r; a += width) {
+    BddRef cluster(m, kBddFalse);
+    for (std::uint32_t j = a; j <= std::min(r, a + width - 1); ++j) {
+      // Receivers in the order the walk from j meets them: j-1, ..., 1,
+      // r, ..., j+1; everything the walk passed is clear.
+      std::vector<Literal> passed;
+      for (std::uint32_t step = 1; step < r; ++step) {
+        const std::uint32_t i = (j - 1 + r - step) % r + 1;
+        std::vector<Literal> literals = {{u(h(j)), true}, {p(h(j)), false},
+                                         {u(d(i)), true}, {p(d(i)), false},
+                                         {p(h(i)), true}, {p(c), true}};
+        literals.insert(literals.end(), passed.begin(), passed.end());
+        cluster = m.bdd_or(cluster, instance(literals));
+        passed.emplace_back(u(d(i)), false);
+        passed.emplace_back(p(d(i)), false);
+      }
+    }
+    ref.parts.push_back(cluster);
+  }
+
+  BddRef exactly_one(m, kBddFalse);
+  BddRef none(m, kBddTrue);
+  for (std::uint32_t i = 1; i <= r; ++i) {
+    const BddRef hi = m.var(u(h(i)));
+    exactly_one = m.bdd_or(m.bdd_and(exactly_one, m.bdd_not(hi)), m.bdd_and(none, hi));
+    none = m.bdd_and(none, m.bdd_not(hi));
+  }
+  ref.theta = exactly_one;
+  return ref;
+}
+
+void expect_matches_reference(const SymbolicRing& ring, const kripke::PropRegistry& reg) {
+  BddManager& m = ring.system->manager();
+  const ReferenceRing ref = reference_ring(m, ring.r);
+  const auto parts = ring.system->partition();
+  ASSERT_EQ(parts.size(), ref.parts.size()) << "r = " << ring.r;
+  for (std::size_t k = 0; k < parts.size(); ++k)
+    EXPECT_EQ(parts[k].get(), ref.parts[k].get()) << "r = " << ring.r << " part " << k;
+  const auto theta = reg.find_theta("t");
+  ASSERT_TRUE(theta.has_value());
+  EXPECT_EQ(ring.system->prop_states(*theta), std::optional<Bdd>(ref.theta.get()))
+      << "r = " << ring.r;
+}
+
+TEST(SymbolicRing, PartsMatchTheRuleByRuleReference) {
+  // Every size up to 20 plus 33 and 64: cluster widths 1, 2, 3 and 4, and
+  // rings whose last cluster is short.
+  std::vector<std::uint32_t> sizes;
+  for (std::uint32_t r = 2; r <= 20; ++r) sizes.push_back(r);
+  sizes.push_back(33);
+  sizes.push_back(64);
+  for (const std::uint32_t r : sizes) {
+    auto reg = kripke::make_registry();
+    const SymbolicRing ring = build_symbolic_ring(r, nullptr, reg);
+    expect_matches_reference(ring, *reg);
+  }
+  // A scrambled order takes the per-instance chains instead.
+  const std::uint32_t r = 7;
+  const std::uint32_t num_bdd_vars = 2 * (2 * r + 1);
+  auto mgr = std::make_shared<BddManager>(num_bdd_vars);
+  mgr->set_initial_order(testing::scrambled_pair_order(num_bdd_vars, 5));
+  auto reg = kripke::make_registry();
+  const SymbolicRing ring = build_symbolic_ring(r, mgr, reg);
+  expect_matches_reference(ring, *reg);
+}
+
+TEST(SymbolicRing, BuildAllocatesAtMostTwiceTheRelationsNodes) {
+  // Allocation pin: on a fresh manager the build allocates no more than
+  // twice the node count of the relation it hands over (about 1.1x with
+  // the relation emitted as automata; an ITE-built union of the rule
+  // instances allocates 10-40x at these sizes).
+  for (const std::uint32_t r : {64u, 128u, 256u}) {
+    const SymbolicRing ring = build_symbolic_ring(r);
+    EXPECT_LE(ring.system->manager().num_nodes(), 2 * ring.system->relation_node_count())
+        << "r = " << r;
+  }
 }
 
 TEST(SymbolicRing, ReachableCountExactAtCapOf256) {

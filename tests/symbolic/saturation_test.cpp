@@ -88,7 +88,7 @@ TEST(SaturationSplit, OneProcessRulesSplitPerProcess) {
   EXPECT_EQ(rule3[0].top_var, ring.critical_var());
 }
 
-TEST(SaturationSplit, UnsplittableSystemsFallBackToTheFrontierLoop) {
+TEST(SaturationSplit, SingleFlipPartsSaturateToAllFourStates) {
   // Two state variables, each part flipping one of them: neither part
   // splits further (one event each, at its own level), and the system
   // reaches all four states.  An order that separates a pair is refused
