@@ -92,7 +92,7 @@ void BM_SymbolicReachable(benchmark::State& state) {
     // Build + saturation least fixpoint + count: the whole "how many
     // states" pipeline, which the relation build now dominates.
     const auto ring = symbolic::build_symbolic_ring(r);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
     last = ring.system;
   }
   if (last != nullptr) report_manager_counters(state, last->manager());
@@ -113,7 +113,7 @@ void BM_SymbolicReachable256(benchmark::State& state) {
   // crowd the sweep above.
   for (auto _ : state) {
     const auto ring = symbolic::build_symbolic_ring(256);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
   }
 }
 BENCHMARK(BM_SymbolicReachable256)->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -201,7 +201,7 @@ void BM_SymbolicSiftScrambledRing(benchmark::State& state) {
     auto mgr = std::make_shared<symbolic::BddManager>(num_vars);
     mgr->set_initial_order(order);
     const auto ring = symbolic::build_symbolic_ring(r, mgr);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
     live_before = mgr->live_nodes();
     state.ResumeTiming();
     live_after = mgr->reorder_now();
@@ -222,7 +222,7 @@ void BM_SymbolicStoreSaveRing(benchmark::State& state) {
   // reload forever".
   const auto r = static_cast<std::uint32_t>(state.range(0));
   const auto ring = symbolic::build_symbolic_ring(r);
-  benchmark::DoNotOptimize(ring.system->num_reachable());
+  benchmark::DoNotOptimize(ring.system->num_states());
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream out;
@@ -244,7 +244,7 @@ void BM_SymbolicStoreLoadRing(benchmark::State& state) {
   // the saved fixpoint, so num_states() returns without any saturation.
   const auto r = static_cast<std::uint32_t>(state.range(0));
   const auto ring = symbolic::build_symbolic_ring(r);
-  benchmark::DoNotOptimize(ring.system->num_reachable());
+  benchmark::DoNotOptimize(ring.system->num_states());
   std::ostringstream out;
   symbolic::save_transition_system(*ring.system, out);
   const std::string blob = out.str();
@@ -274,7 +274,7 @@ void BM_SymbolicReachableWithAutoGc(benchmark::State& state) {
         std::make_shared<symbolic::BddManager>(2 * (2 * r + 1));
     mgr->enable_auto_gc(/*slack=*/1u << 12);
     const auto ring = symbolic::build_symbolic_ring(r, mgr);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
     last = ring.system;
   }
   if (last != nullptr) report_manager_counters(state, last->manager());

@@ -38,6 +38,12 @@ struct UnionView {
 /// inside its block) and one exiting transition, plus, when
 /// `divergence_sensitive`, a marker no block id equals if some inert run
 /// goes on forever.  See stuttering.hpp for the one-pass scheme.
+///
+/// This Tarjan pass is its own, not kripke::strongly_connected_components:
+/// it follows only inert edges, interns each component's signature from
+/// Tarjan's stack as the component closes, and checkpoints every 4096
+/// states — and it is the hot path of every Theorem 5 certificate.  A
+/// shared pass would have to branch on its caller for each of these.
 std::vector<std::uint32_t> signature_ids(const UnionView& g, const Partition& p,
                                          bool divergence_sensitive) {
   const std::size_t n = g.num_states();

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kripke/algorithms.hpp"
 #include "rt/budget.hpp"
 #include "support/error.hpp"
 
@@ -119,91 +120,22 @@ DynamicBitset exists_fair_path(const kripke::Structure& m, const Gba& gba,
     stats->product_transitions = g.edges.size();
   }
 
-  // Tarjan SCC over the product graph (iterative).
-  const std::size_t pn = g.nodes.size();
-  constexpr std::uint32_t kUnvisited = static_cast<std::uint32_t>(-1);
-  std::vector<std::uint32_t> index(pn, kUnvisited), lowlink(pn, 0), comp(pn, kUnvisited);
-  std::vector<bool> on_stack(pn, false);
-  std::vector<std::uint32_t> scc_stack;
-  std::vector<std::vector<std::uint32_t>> components;
-  struct Frame {
-    std::uint32_t v;
-    std::size_t child;
-  };
-  std::vector<Frame> call;
-  std::uint32_t next_index = 0;
-  for (std::uint32_t root = 0; root < pn; ++root) {
-    if (index[root] != kUnvisited) continue;
-    call.push_back({root, 0});
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = true;
-    while (!call.empty()) {
-      Frame& f = call.back();
-      const std::uint32_t v = f.v;
-      const auto succ = g.successors(v);
-      if (f.child < succ.size()) {
-        const std::uint32_t w = succ[f.child++];
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = true;
-          call.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-      } else {
-        if (lowlink[v] == index[v]) {
-          std::vector<std::uint32_t> component;
-          std::uint32_t w;
-          do {
-            w = scc_stack.back();
-            scc_stack.pop_back();
-            on_stack[w] = false;
-            comp[w] = static_cast<std::uint32_t>(components.size());
-            component.push_back(w);
-          } while (w != v);
-          components.push_back(std::move(component));
-        }
-        call.pop_back();
-        if (!call.empty()) {
-          lowlink[call.back().v] = std::min(lowlink[call.back().v], lowlink[v]);
-        }
-      }
-    }
-  }
-
   // A component is fair when it carries a cycle and intersects every
-  // acceptance set.
-  std::vector<bool> fair(components.size(), false);
-  {
-    // Precompute: for each acceptance set, a flag per GBA node.
-    std::vector<std::vector<bool>> in_set(gba.accepting_sets.size(),
-                                          std::vector<bool>(gba.nodes.size(), false));
-    for (std::size_t a = 0; a < gba.accepting_sets.size(); ++a)
-      for (const std::uint32_t q : gba.accepting_sets[a]) in_set[a][q] = true;
-
-    for (std::size_t c = 0; c < components.size(); ++c) {
-      const auto& component = components[c];
-      bool nontrivial = component.size() > 1;
-      if (!nontrivial) {
-        const std::uint32_t v = component.front();
-        const auto succ = g.successors(v);
-        nontrivial = std::find(succ.begin(), succ.end(), v) != succ.end();
-      }
-      if (!nontrivial) continue;
-      bool ok = true;
-      for (std::size_t a = 0; a < gba.accepting_sets.size() && ok; ++a) {
-        bool hit = false;
-        for (const std::uint32_t v : component)
-          if (in_set[a][g.nodes[v].second]) {
-            hit = true;
-            break;
-          }
-        ok = hit;
-      }
-      fair[c] = ok;
-    }
+  // acceptance set (in_set[a][q]: GBA node q lies in acceptance set a).
+  const std::size_t pn = g.nodes.size();
+  const auto successors = [&g](std::uint32_t v) { return g.successors(v); };
+  const kripke::SccDecomposition scc = kripke::strongly_connected_components(pn, successors);
+  std::vector<std::vector<bool>> in_set(gba.accepting_sets.size(),
+                                        std::vector<bool>(gba.nodes.size(), false));
+  for (std::size_t a = 0; a < gba.accepting_sets.size(); ++a)
+    for (const std::uint32_t q : gba.accepting_sets[a]) in_set[a][q] = true;
+  std::vector<bool> fair(scc.components.size(), false);
+  for (std::uint32_t c = 0; c < scc.components.size(); ++c) {
+    if (!scc.is_nontrivial(successors, c)) continue;
+    fair[c] = std::all_of(in_set.begin(), in_set.end(), [&](const std::vector<bool>& set) {
+      return std::any_of(scc.components[c].begin(), scc.components[c].end(),
+                         [&](std::uint32_t v) { return set[g.nodes[v].second]; });
+    });
   }
   if (stats != nullptr)
     stats->fair_sccs = static_cast<std::size_t>(
@@ -213,7 +145,7 @@ DynamicBitset exists_fair_path(const kripke::Structure& m, const Gba& gba,
   std::vector<bool> can_reach_fair(pn, false);
   std::vector<std::uint32_t> stack;
   for (std::uint32_t v = 0; v < pn; ++v) {
-    if (comp[v] != kUnvisited && fair[comp[v]] && !can_reach_fair[v]) {
+    if (fair[scc.component_of[v]] && !can_reach_fair[v]) {
       can_reach_fair[v] = true;
       stack.push_back(v);
     }

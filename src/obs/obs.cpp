@@ -50,6 +50,19 @@ void append_json_string(std::ostream& out, std::string_view s) {
   out << '"';
 }
 
+void append_json_counters(std::ostream& out,
+                          const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
+  out << '{';
+  const char* separator = "";
+  for (const auto& [path, value] : counters) {
+    out << separator;
+    separator = ", ";
+    append_json_string(out, path);
+    out << ": " << value;
+  }
+  out << '}';
+}
+
 // ---- Registry ---------------------------------------------------------------
 
 namespace {
@@ -89,15 +102,9 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::snapshot() const {
 
 std::string Registry::to_json() const {
   std::ostringstream out;
-  out << "{\"counters\": {";
-  bool first = true;
-  for (const auto& [path, cell] : cells_) {
-    if (!first) out << ", ";
-    first = false;
-    append_json_string(out, path);
-    out << ": " << cell.value;
-  }
-  out << "}}";
+  out << "{\"counters\": ";
+  append_json_counters(out, snapshot());
+  out << '}';
   return out.str();
 }
 

@@ -36,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ictl::obs {
@@ -58,6 +59,12 @@ inline constexpr bool kCompiledIn = false;
 /// library writes — the counter export, the Chrome trace and rt's trip
 /// reports.
 void append_json_string(std::ostream& out, std::string_view s);
+
+/// Writes (path, value) pairs to `out` as one JSON object,
+/// {"bdd/gc_runs": 3, ...}, in the order given.  The one counters writer
+/// behind Registry::to_json and rt's trip reports.
+void append_json_counters(std::ostream& out,
+                          const std::vector<std::pair<std::string, std::uint64_t>>& counters);
 
 namespace detail {
 extern bool g_enabled;  // written by set_enabled / trace_start only
@@ -88,14 +95,14 @@ struct Counter {
 /// Hierarchical registry of named counters: names are "scope/name" paths
 /// ("bdd/gc_runs", "eval/instructions"), one namespace across every engine,
 /// so snapshot()/to_json() is the single export.  The per-object stats
-/// structs (BddManager::Stats, eval::EvalStats, ...) are per-instance views;
-/// BddManager::publish_stats() still mirrors the manager's table gauges in.
+/// structs (BddManager::Stats, eval::EvalStats, ...) are per-instance views
+/// that the registry does not mirror.
 class Registry {
  public:
   /// The cell for scope/name, registered on first use (stable reference).
   [[nodiscard]] Counter& counter(std::string_view scope, std::string_view name);
 
-  /// Overwrites the cell's value (the publish_stats gauge path).
+  /// Overwrites the cell's value (a gauge).
   void set(std::string_view scope, std::string_view name, std::uint64_t value);
 
   /// Current value; 0 when the cell was never registered.

@@ -27,6 +27,7 @@ namespace {
 // The single installed-budget slot behind current_budget()/BudgetScope.
 ResourceBudget* g_current_budget = nullptr;
 
+using obs::append_json_counters;
 using obs::append_json_string;
 
 std::string build_report(
@@ -39,17 +40,9 @@ std::string build_report(
   append_json_string(out, phase);
   out << ",\n    \"what\": ";
   append_json_string(out, what);
-  out << "\n  },\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [path, value] : counters) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n    ";
-    append_json_string(out, path);
-    out << ": " << value;
-  }
-  if (!first) out << "\n  ";
-  out << "}\n}";
+  out << "\n  },\n  \"counters\": ";
+  append_json_counters(out, counters);
+  out << "\n}";
   return out.str();
 }
 

@@ -3,11 +3,10 @@
 // node/cache/queue tables legitimately store raw handles.
 //
 // A small self-contained BDD (reduced ordered binary decision diagram)
-// manager — the third engine's substrate.  No external dependencies, in the
-// spirit of the interner in src/support/: nodes are hash-consed through
-// per-variable unique subtables so structural equality is pointer (index)
-// equality, and the Shannon-expansion operators run through a lossy 2-way
-// set-associative computed-table cache with aging.
+// manager — the third engine's substrate.  No external dependencies: nodes
+// are hash-consed through per-variable unique subtables so structural
+// equality is pointer (index) equality, and the Shannon-expansion operators
+// run through a lossy 2-way set-associative computed-table cache with aging.
 //
 // Design notes:
 //   * Node handles are dense 32-bit indices (`Bdd`); 0 and 1 are the
@@ -59,10 +58,6 @@
 
 #include "support/error.hpp"
 
-namespace ictl::obs {
-class Registry;  // obs/obs.hpp — publish_stats bridges into the registry
-}
-
 namespace ictl::symbolic {
 
 /// Handle to a BDD node owned by a BddManager.
@@ -78,9 +73,9 @@ class ProtectScope;
 /// An exact satisfying-assignment count: value = (hi * 2^64 + lo) * 2^exponent
 /// with the 128-bit mantissa normalized odd (or zero with exponent 0), so
 /// equal counts have equal representations.  Covers every count whose odd
-/// part fits 128 bits — far past the 2^53 limit where the double-returning
-/// sat_count starts silently rounding; addition throws Error on mantissa
-/// overflow rather than drifting.
+/// part fits 128 bits — far past the 2^53 limit where a double starts
+/// silently rounding; addition throws Error on mantissa overflow rather
+/// than drifting.
 struct SatCount {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -241,12 +236,6 @@ class BddManager {
   /// Evaluates f under a total assignment (indexed by variable).
   [[nodiscard]] bool eval(Bdd f, const std::vector<bool>& assignment) const;
 
-  /// Number of satisfying assignments over all num_vars() variables, as a
-  /// double (exact for the power-of-two-times-small-integer counts the state
-  /// sets here produce; 2^53-limited in general — use sat_count_exact when
-  /// sums of set counts may carry wide odd parts).
-  [[nodiscard]] double sat_count(Bdd f) const;
-
   /// Exact satisfying-assignment count over all num_vars() variables as an
   /// exponent-tracked 128-bit mantissa; throws Error if the count's odd
   /// part exceeds 128 bits.
@@ -285,10 +274,6 @@ class BddManager {
     std::size_t gc_retired = 0;           ///< nodes retired across all sweeps
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  /// Mirrors stats() plus table gauges (live/peak nodes) into `registry`
-  /// under "bdd/" — the unified-export bridge (obs::Registry::to_json).
-  void publish_stats(obs::Registry& registry) const;
 
   // ---- Dynamic reordering --------------------------------------------------
 
@@ -376,9 +361,8 @@ class BddManager {
     /// future (which would spontaneously validate after an invalidation).
     kCaches = 2,
     /// SatCount consistency on every externally rooted function:
-    /// normalization (odd mantissa, zero => exponent 0, exponent >= 0),
-    /// exact-vs-double agreement, brute-force evaluation cross-check on
-    /// small managers.
+    /// normalization (odd mantissa, zero => exponent 0, exponent >= 0) and
+    /// a brute-force evaluation cross-check on small managers.
     kFull = 3,
   };
 
@@ -506,7 +490,6 @@ class BddManager {
   Bdd and_exists_rec(Bdd f, Bdd g, Bdd cube);
   Bdd pair_pre_image_rec(Bdd relation, Bdd set);
   Bdd rename_rec(Bdd f, const std::vector<std::uint32_t>& map);
-  double sat_count_rec(Bdd f, std::vector<double>& memo) const;
   SatCount sat_count_exact_rec(Bdd f, std::vector<SatCount>& memo,
                                std::vector<char>& seen) const;
 

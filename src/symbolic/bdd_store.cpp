@@ -363,14 +363,16 @@ TransitionSystem load_transition_system(std::istream& in,
                           "load_transition_system: corrupt header counts");
   // Same allocation-bomb guard as load_bdds: every prop id takes 4 header
   // bytes, and every part/prop must reappear as a named root (>= 13 bytes:
-  // name length, "part/<k>", file id) in the BDD section that follows.
+  // name length, "part/<k>", file id) in the BDD section that follows.  An
+  // unseekable stream's counts are unchecked, so the vectors below grow as
+  // entries actually arrive, and a bomb fails as a truncated stream.
   if (const auto left = remaining_bytes(in)) {
     support::require<Error>(
         std::uint64_t{num_props} * 4 <= *left && std::uint64_t{num_parts} * 13 <= *left,
         "load_transition_system: header counts exceed remaining file size");
   }
-  std::vector<kripke::PropId> prop_ids(num_props);
-  for (std::uint32_t k = 0; k < num_props; ++k) prop_ids[k] = r.u32();
+  std::vector<kripke::PropId> prop_ids;
+  for (std::uint32_t k = 0; k < num_props; ++k) prop_ids.push_back(r.u32());
   const std::uint32_t num_indices = r.u32();
   support::require<Error>(num_indices <= kMaxNodes,
                           "load_transition_system: corrupt index-set size");
@@ -379,8 +381,8 @@ TransitionSystem load_transition_system(std::istream& in,
         std::uint64_t{num_indices} * 4 <= *left,
         "load_transition_system: index-set size exceeds remaining file size");
   }
-  std::vector<std::uint32_t> indices(num_indices);
-  for (std::uint32_t k = 0; k < num_indices; ++k) indices[k] = r.u32();
+  std::vector<std::uint32_t> indices;
+  for (std::uint32_t k = 0; k < num_indices; ++k) indices.push_back(r.u32());
   const std::uint32_t reach_tag = r.u32();
   support::require<Error>(reach_tag <= 1,
                           "load_transition_system: corrupt reachable flag");
@@ -399,9 +401,9 @@ TransitionSystem load_transition_system(std::istream& in,
     return blobs.root(name);
   };
   const Bdd initial = root("initial");
-  std::vector<Bdd> partition(num_parts);
+  std::vector<Bdd> partition;
   for (std::uint32_t k = 0; k < num_parts; ++k)
-    partition[k] = root("part/" + std::to_string(k));
+    partition.push_back(root("part/" + std::to_string(k)));
   std::vector<std::pair<kripke::PropId, Bdd>> props;
   props.reserve(num_props);
   for (std::uint32_t k = 0; k < num_props; ++k)

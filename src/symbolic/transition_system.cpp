@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <numeric>
 #include <unordered_map>
 
@@ -362,17 +361,10 @@ Bdd TransitionSystem::reachable() const {
   return reachable_->get();
 }
 
-double TransitionSystem::count_states(Bdd set) const {
-  // sat_count ranges over every manager variable; each of the
+SatCount TransitionSystem::count_states_exact(Bdd set) const {
+  // sat_count_exact ranges over every manager variable; each of the
   // num_state_vars primed variables (absent from a state set's support)
   // doubles the count, as does any extra variable the manager owns.
-  const double over_all = mgr_->sat_count(set);
-  const int extra = static_cast<int>(mgr_->num_vars()) -
-                    static_cast<int>(num_state_vars_);
-  return std::ldexp(over_all, -extra);
-}
-
-SatCount TransitionSystem::count_states_exact(Bdd set) const {
   SatCount over_all = mgr_->sat_count_exact(set);
   if (!over_all.is_zero())
     over_all.exponent -= static_cast<std::int32_t>(mgr_->num_vars()) -

@@ -210,16 +210,11 @@ class TransitionSystem {
     return props_;
   }
 
-  /// Number of states in a set-BDD over unprimed variables (primed
-  /// variables must not occur in its support) — double view, 2^53-limited.
-  [[nodiscard]] double count_states(Bdd set) const;
-
-  /// Exact count of states in a set-BDD over unprimed variables.
+  /// Exact count of states in a set-BDD over unprimed variables (primed
+  /// variables must not occur in its support).
   [[nodiscard]] SatCount count_states_exact(Bdd set) const;
 
-  [[nodiscard]] double num_reachable() const { return count_states(reachable()); }
-
-  /// Exact reachable-state count (the precision-safe num_reachable).
+  /// Exact reachable-state count.
   [[nodiscard]] SatCount num_states() const { return count_states_exact(reachable()); }
 
   /// Characteristic function of a proposition; nullopt when the system

@@ -4,10 +4,28 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <vector>
 
 #include "ictl.hpp"
+
+namespace ictl::symbolic {
+
+/// gtest prints a SatCount through this (found by argument-dependent
+/// lookup), so a failing exact pin shows the count, not its raw bytes: the
+/// decimal integer, or mantissa*2^exponent when the exponent is negative.
+inline void PrintTo(const SatCount& count, std::ostream* os) {
+  if (count.exponent >= 0) {
+    *os << count.to_decimal_string();
+    return;
+  }
+  SatCount mantissa = count;
+  mantissa.exponent = 0;
+  *os << mantissa.to_decimal_string() << "*2^" << count.exponent;
+}
+
+}  // namespace ictl::symbolic
 
 namespace ictl::testing {
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "../helpers.hpp"
 
 namespace ictl::kripke {
@@ -19,53 +23,6 @@ Structure chain_with_cycle(PropRegistryPtr reg) {
   b.add_transition(4, 4);
   b.set_initial(0);
   return std::move(b).build();
-}
-
-TEST(ForwardReachable, FromSingleState) {
-  auto reg = make_registry();
-  const Structure m = chain_with_cycle(reg);
-  const auto r = forward_reachable(m, 1);
-  EXPECT_TRUE(r.test(1));
-  EXPECT_TRUE(r.test(2));
-  EXPECT_TRUE(r.test(3));
-  EXPECT_FALSE(r.test(0));
-  EXPECT_FALSE(r.test(4));
-}
-
-TEST(ForwardReachable, FromSet) {
-  auto reg = make_registry();
-  const Structure m = chain_with_cycle(reg);
-  support::DynamicBitset seed(m.num_states());
-  seed.set(4);
-  const auto r = forward_reachable(m, seed);
-  EXPECT_EQ(r.count(), 1u);
-  EXPECT_TRUE(r.test(4));
-}
-
-TEST(BackwardReachable, FindsAllAncestors) {
-  auto reg = make_registry();
-  const Structure m = chain_with_cycle(reg);
-  support::DynamicBitset targets(m.num_states());
-  targets.set(3);
-  const auto r = backward_reachable(m, targets);
-  EXPECT_TRUE(r.test(0));
-  EXPECT_TRUE(r.test(1));
-  EXPECT_TRUE(r.test(2));
-  EXPECT_TRUE(r.test(3));
-  EXPECT_FALSE(r.test(4));
-}
-
-TEST(BackwardReachable, RespectsWithinRestriction) {
-  auto reg = make_registry();
-  const Structure m = chain_with_cycle(reg);
-  support::DynamicBitset targets(m.num_states());
-  targets.set(3);
-  support::DynamicBitset within(m.num_states());
-  within.set(2);  // only state 2 may be traversed
-  const auto r = backward_reachable(m, targets, &within);
-  EXPECT_TRUE(r.test(2));
-  EXPECT_FALSE(r.test(1));
-  EXPECT_FALSE(r.test(0));
 }
 
 TEST(Scc, FindsComponentsInReverseTopologicalOrder) {
@@ -86,9 +43,10 @@ TEST(Scc, NontrivialDetection) {
   auto reg = make_registry();
   const Structure m = chain_with_cycle(reg);
   const SccDecomposition scc = strongly_connected_components(m);
-  EXPECT_TRUE(scc.is_nontrivial(m, scc.component_of[2]));   // 2-cycle
-  EXPECT_TRUE(scc.is_nontrivial(m, scc.component_of[4]));   // self-loop
-  EXPECT_FALSE(scc.is_nontrivial(m, scc.component_of[0]));  // no loop
+  const auto succ = [&m](StateId s) { return m.successors(s); };
+  EXPECT_TRUE(scc.is_nontrivial(succ, scc.component_of[2]));   // 2-cycle
+  EXPECT_TRUE(scc.is_nontrivial(succ, scc.component_of[4]));   // self-loop
+  EXPECT_FALSE(scc.is_nontrivial(succ, scc.component_of[0]));  // no loop
 }
 
 TEST(Scc, WholeGraphStronglyConnected) {
@@ -96,7 +54,24 @@ TEST(Scc, WholeGraphStronglyConnected) {
   const Structure m = testing::two_state_loop(reg);
   const SccDecomposition scc = strongly_connected_components(m);
   EXPECT_EQ(scc.components.size(), 1u);
-  EXPECT_TRUE(scc.is_nontrivial(m, 0));
+  EXPECT_TRUE(scc.is_nontrivial([&m](StateId s) { return m.successors(s); }, 0));
+}
+
+TEST(Scc, RunsOverAnySuccessorFunction) {
+  // Adjacency lists with no Structure behind them, as mc's product graph:
+  // 0 -> 1 -> 2 -> 0 (a cycle), 2 -> 3, 3 -> 3 (a self-loop), 4 isolated.
+  const std::vector<std::vector<std::uint32_t>> adj = {{1}, {2}, {0, 3}, {3}, {}};
+  const auto succ = [&adj](std::uint32_t v) -> const std::vector<std::uint32_t>& {
+    return adj[v];
+  };
+  const SccDecomposition scc = strongly_connected_components(adj.size(), succ);
+  EXPECT_EQ(scc.components.size(), 3u);
+  EXPECT_EQ(scc.component_of[0], scc.component_of[1]);
+  EXPECT_EQ(scc.component_of[0], scc.component_of[2]);
+  EXPECT_LT(scc.component_of[3], scc.component_of[0]);
+  EXPECT_TRUE(scc.is_nontrivial(succ, scc.component_of[0]));
+  EXPECT_TRUE(scc.is_nontrivial(succ, scc.component_of[3]));
+  EXPECT_FALSE(scc.is_nontrivial(succ, scc.component_of[4]));
 }
 
 class RandomStructureSweep : public ::testing::TestWithParam<std::uint32_t> {};
@@ -115,18 +90,31 @@ TEST_P(RandomStructureSweep, SccPartitionsAllStates) {
   }
 }
 
-TEST_P(RandomStructureSweep, ForwardBackwardDuality) {
-  // t reachable from s  <=>  s backward-reachable from {t}.
+TEST_P(RandomStructureSweep, SccsAreTheMutualReachabilityClasses) {
+  // s and t share a component iff each reaches the other, by a test-local
+  // depth-first closure from every state.
   auto reg = make_registry();
   const Structure m = testing::random_structure(reg, 40, GetParam());
-  const StateId s = 0;
-  const auto fwd = forward_reachable(m, s);
-  for (StateId t = 0; t < m.num_states(); ++t) {
-    support::DynamicBitset target(m.num_states());
-    target.set(t);
-    const auto bwd = backward_reachable(m, target);
-    EXPECT_EQ(fwd.test(t), bwd.test(s)) << "state " << t;
+  const std::size_t n = m.num_states();
+  std::vector<std::vector<bool>> reaches(n, std::vector<bool>(n, false));
+  for (StateId s = 0; s < n; ++s) {
+    std::vector<StateId> stack = {s};
+    reaches[s][s] = true;
+    while (!stack.empty()) {
+      const StateId u = stack.back();
+      stack.pop_back();
+      for (const StateId t : m.successors(u)) {
+        if (reaches[s][t]) continue;
+        reaches[s][t] = true;
+        stack.push_back(t);
+      }
+    }
   }
+  const SccDecomposition scc = strongly_connected_components(m);
+  for (StateId s = 0; s < n; ++s)
+    for (StateId t = 0; t < n; ++t)
+      EXPECT_EQ(scc.component_of[s] == scc.component_of[t], reaches[s][t] && reaches[t][s])
+          << "states " << s << ", " << t;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomStructureSweep,

@@ -131,6 +131,43 @@ TEST(BudgetTrip, NodeCapLadderTripsTypedAndManagerStaysUsable) {
     EXPECT_EQ(contains(*ts, sym, s), want.test(s)) << "state " << s;
 }
 
+TEST(BudgetTrip, NodeCapOnAnUngroupableOrderTripsWithoutSifting) {
+  // One variable more than the system's pairs: the order cannot be sifted
+  // pair-grouped, so the ladder must trip without sifting.  A sift of
+  // single variables could separate the system's (x, x') pairs, and the
+  // unbudgeted retry would then throw instead of answering.
+  for (const std::uint32_t seed : {1u, 2u, 3u}) {
+    auto reg = kripke::make_registry();
+    const auto m = testing::random_structure(reg, 40, seed);
+    std::uint32_t bits = 1;
+    while ((std::size_t{1} << bits) < m.num_states()) ++bits;
+    auto mgr = std::make_shared<symbolic::BddManager>(2 * bits + 1);
+    auto ts = std::make_shared<const TransitionSystem>(symbolic::from_structure(m, mgr));
+    symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+    const auto f = logic::make_and(logic::EU(logic::atom("p"), logic::atom("q")),
+                                   logic::EG(logic::atom("q")));
+    const std::size_t sifts = mgr->stats().sift_passes;
+
+    ResourceBudget budget(BudgetLimits{.node_cap = 8});
+    try {
+      const BudgetScope scope(budget);
+      static_cast<void>(checker.sat(f));
+      ADD_FAILURE() << "node cap never tripped, seed " << seed;
+    } catch (const BudgetExceeded& e) {
+      EXPECT_EQ(e.kind(), BudgetKind::kNodes) << "seed " << seed;
+      EXPECT_EQ(e.phase(), "bdd/node_cap") << "seed " << seed;
+    }
+    EXPECT_EQ(mgr->stats().sift_passes, sifts) << "seed " << seed;
+    EXPECT_TRUE(mgr->pairs_adjacent(ts->num_state_vars())) << "seed " << seed;
+    ASSERT_TRUE(mgr->check_invariants()) << "seed " << seed;
+
+    const mc::SatSet want = reference_sat(m, f);
+    const Bdd sym = checker.sat(f);
+    for (kripke::StateId s = 0; s < m.num_states(); ++s)
+      EXPECT_EQ(contains(*ts, sym, s), want.test(s)) << "seed " << seed << " state " << s;
+  }
+}
+
 TEST(BudgetTrip, GenerousNodeCapDegradesGracefullyInsteadOfTripping) {
   auto reg = kripke::make_registry();
   const auto m = testing::random_structure(reg, 28, 5);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "symbolic/bdd.hpp"
 
 namespace ictl::symbolic {
@@ -147,17 +148,17 @@ TEST(BddManager, RenameShiftsVariables) {
 
 TEST(BddManager, SatCount) {
   BddManager mgr(4);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(kBddFalse), 0.0);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(kBddTrue), 16.0);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(mgr.var(0)), 8.0);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(mgr.var(3)), 8.0);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(mgr.bdd_and(mgr.var(0), mgr.var(1))), 4.0);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(mgr.bdd_or(mgr.var(0), mgr.var(1))), 12.0);
-  EXPECT_DOUBLE_EQ(mgr.sat_count(mgr.bdd_xor(mgr.var(2), mgr.var(3))), 8.0);
+  EXPECT_EQ(mgr.sat_count_exact(kBddFalse), SatCount::make(0));
+  EXPECT_EQ(mgr.sat_count_exact(kBddTrue), SatCount::make(16));
+  EXPECT_EQ(mgr.sat_count_exact(mgr.var(0)), SatCount::make(8));
+  EXPECT_EQ(mgr.sat_count_exact(mgr.var(3)), SatCount::make(8));
+  EXPECT_EQ(mgr.sat_count_exact(mgr.bdd_and(mgr.var(0), mgr.var(1))), SatCount::make(4));
+  EXPECT_EQ(mgr.sat_count_exact(mgr.bdd_or(mgr.var(0), mgr.var(1))), SatCount::make(12));
+  EXPECT_EQ(mgr.sat_count_exact(mgr.bdd_xor(mgr.var(2), mgr.var(3))), SatCount::make(8));
   // Counting is consistent under variable growth: a fresh manager with more
   // variables doubles per variable.
   BddManager wide(10);
-  EXPECT_DOUBLE_EQ(wide.sat_count(wide.var(0)), 512.0);
+  EXPECT_EQ(wide.sat_count_exact(wide.var(0)), SatCount::make(512));
 }
 
 TEST(SatCountExact, NormalizationArithmeticAndRendering) {
@@ -178,6 +179,14 @@ TEST(SatCountExact, NormalizationArithmeticAndRendering) {
   EXPECT_THROW(big += SatCount::make(1, 0), Error);
 }
 
+TEST(SatCountExact, FailuresPrintTheCount) {
+  // tests/helpers.hpp gives gtest a PrintTo, so a failing pin names the
+  // count: the integer, or mantissa*2^exponent below 1.
+  EXPECT_EQ(::testing::PrintToString(SatCount::make(64, 64)) + " " +
+                ::testing::PrintToString(SatCount::make(12, -4)),
+            "1180591620717411303424 3*2^-2");
+}
+
 TEST(SatCountExact, TracksWideOddPartsWhereTheDoubleViewRounds) {
   // f = !x0 | (x0 & x1 & ... & x60) over 61 variables has exactly
   // 2^60 + 1 satisfying assignments — one more than a double can tell
@@ -192,12 +201,11 @@ TEST(SatCountExact, TracksWideOddPartsWhereTheDoubleViewRounds) {
   const SatCount exact = mgr.sat_count_exact(f);
   EXPECT_EQ(exact, SatCount::make((std::uint64_t{1} << 60) + 1));
   EXPECT_EQ(exact.to_decimal_string(), "1152921504606846977");
-  // Regression pin for the precision bug the exact path fixes: the double
-  // view rounds the +1 away entirely.
-  EXPECT_DOUBLE_EQ(mgr.sat_count(f), std::ldexp(1.0, 60));
+  // Regression pin for the precision bug exact counts fix: the exact count
+  // tells 2^60 + 1 from 2^60, while its to_double() view rounds the +1 away.
+  EXPECT_NE(exact, SatCount::make(1, 60));
   EXPECT_DOUBLE_EQ(exact.to_double(), std::ldexp(1.0, 60));  // lossy by design
-  // Terminals and simple cofactor shapes agree with the double view where
-  // the double view is still exact.
+  // Terminals and simple cofactor shapes.
   EXPECT_EQ(mgr.sat_count_exact(kBddFalse), SatCount::make(0));
   EXPECT_EQ(mgr.sat_count_exact(kBddTrue), SatCount::make(1, kVars));
   EXPECT_EQ(mgr.sat_count_exact(mgr.var(7)), SatCount::make(1, kVars - 1));
@@ -265,12 +273,12 @@ TEST(BddManager, ReorderHookFiresOnGrowth) {
 TEST(BddManager, NewVarExtendsUniverse) {
   BddManager mgr(2);
   const Bdd f = mgr.bdd_and(mgr.var(0), mgr.var(1));
-  EXPECT_DOUBLE_EQ(mgr.sat_count(f), 1.0);
+  EXPECT_EQ(mgr.sat_count_exact(f), SatCount::make(1));
   const std::uint32_t v = mgr.new_var();
   EXPECT_EQ(v, 2u);
   EXPECT_EQ(mgr.num_vars(), 3u);
   // The old function now has a free variable: count doubles.
-  EXPECT_DOUBLE_EQ(mgr.sat_count(f), 2.0);
+  EXPECT_EQ(mgr.sat_count_exact(f), SatCount::make(2));
   EXPECT_EQ(mgr.bdd_and(f, mgr.var(2)),
             mgr.bdd_and(mgr.var(0), mgr.bdd_and(mgr.var(1), mgr.var(2))));
 }

@@ -205,7 +205,7 @@ TEST(Reorder, DynamicReorderingTriggersSiftOnGrowth) {
 // ---- The randomized-order differential (satellite) --------------------------
 
 struct RingExpectation {
-  double reachable = 0;
+  SatCount reachable;
   std::vector<bool> verdicts;  // Section 5 specs, in order
 };
 
@@ -213,7 +213,7 @@ RingExpectation expected_for(std::uint32_t r) {
   const SymbolicRing ring = build_symbolic_ring(r);
   CtlChecker checker(ring.system);
   RingExpectation e;
-  e.reachable = ring.system->num_reachable();
+  e.reachable = ring.system->num_states();
   for (const auto& [name, f] : ring::section5_specifications())
     e.verdicts.push_back(checker.holds_initially(f));
   return e;
@@ -249,10 +249,9 @@ TEST(RandomizedOrder, CountsAndVerdictsAreOrderInvariant) {
       const SymbolicRing ring = build_symbolic_ring(r, mgr, nullptr, options);
       CtlChecker checker(ring.system);
 
-      EXPECT_DOUBLE_EQ(ring.system->num_reachable(), want.reachable)
+      EXPECT_EQ(ring.system->num_states(), want.reachable)
           << "r=" << r << " seed=" << seed << " sift=" << sift;
-      EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                       static_cast<double>(ring::ring_state_count(r)));
+      EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(r)));
       for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(checker.holds_initially(specs[i].second), want.verdicts[i])
             << "r=" << r << " seed=" << seed << " sift=" << sift << " spec "
@@ -280,15 +279,12 @@ TEST(Reorder, SharedManagerSecondBuildIsSafeFromInheritedHook) {
   options.dynamic_reordering = true;
   options.reorder_threshold = 256;
   const SymbolicRing first = build_symbolic_ring(6, mgr, reg, options);
-  EXPECT_DOUBLE_EQ(first.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(6)));
+  EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));
   // The second build grows the table well past every doubled threshold, so
   // without the pause the inherited hook fires mid-build.
   const SymbolicRing second = build_symbolic_ring(24, mgr, reg);
-  EXPECT_DOUBLE_EQ(second.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(24)));
-  EXPECT_DOUBLE_EQ(first.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(6)));
+  EXPECT_EQ(second.system->num_states(), SatCount::make(ring::ring_state_count(24)));
+  EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));
   ASSERT_TRUE(mgr->check_invariants());
 }
 
@@ -305,8 +301,7 @@ TEST(RandomizedOrder, ExplicitSiftOnScrambledRingShrinksOrMatches) {
   const std::size_t after = mgr->reorder_now();
   EXPECT_LE(after, before);
   ASSERT_TRUE(mgr->check_invariants());
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(r)));
+  EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(r)));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -21,10 +20,8 @@ namespace {
 TEST(SymbolicRing, ReachableCountIsRTimesTwoToTheR) {
   for (const std::uint32_t r : {2u, 3u, 4u, 5u, 6u, 8u, 10u}) {
     const SymbolicRing ring = build_symbolic_ring(r);
-    EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                     static_cast<double>(ring::ring_state_count(r)))
+    EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(r)))
         << "r = " << r;
-    // The exact counter agrees on these (still double-exact) sizes.
     EXPECT_EQ(ring.system->num_states(), SatCount::make(r, r)) << "r = " << r;
   }
 }
@@ -42,7 +39,7 @@ TEST(SymbolicRing, EveryExplicitStateIsReachableAndViceVersa) {
       EXPECT_TRUE(sym.system->manager().eval(reach, sym.assignment(explicit_sys.state(s))))
           << "r = " << r << " state " << s;
     // ...and the counts agree, so the map is onto.
-    EXPECT_DOUBLE_EQ(sym.system->num_reachable(), static_cast<double>(n));
+    EXPECT_EQ(sym.system->num_states(), SatCount::make(n));
   }
 }
 
@@ -51,7 +48,7 @@ TEST(SymbolicRing, InitialStateMatchesS0) {
   auto reg = kripke::make_registry();
   const auto explicit_sys = testing::ring_of(r, reg);
   const SymbolicRing sym = build_symbolic_ring(r, nullptr, reg);
-  EXPECT_DOUBLE_EQ(sym.system->count_states(sym.system->initial()), 1.0);
+  EXPECT_EQ(sym.system->count_states_exact(sym.system->initial()), SatCount::make(1));
   const kripke::StateId s0 = explicit_sys.structure().initial();
   EXPECT_TRUE(sym.system->manager().eval(sym.system->initial(),
                                          sym.assignment(explicit_sys.state(s0))));
@@ -71,8 +68,8 @@ TEST(SymbolicRing, LabelsMatchExplicitColumns) {
       ASSERT_TRUE(states.has_value()) << reg->display(p);
       const Bdd within_reach = mgr.bdd_and(reach, *states);
       // Same count and same per-state membership as the explicit column.
-      EXPECT_DOUBLE_EQ(sym.system->count_states(within_reach),
-                       static_cast<double>(m.states_with(p).count()))
+      EXPECT_EQ(sym.system->count_states_exact(within_reach),
+                SatCount::make(m.states_with(p).count()))
           << "r = " << r << " " << reg->display(p);
       for (kripke::StateId s = 0; s < m.num_states(); ++s)
         EXPECT_EQ(mgr.eval(*states, sym.assignment(explicit_sys.state(s))),
@@ -101,7 +98,7 @@ TEST(SymbolicRing, ImagesAgreeWithExplicitTransitions) {
       singleton = mgr.bdd_and(singleton,
                               bits[TransitionSystem::unprimed(v)] ? x : mgr.bdd_not(x));
     }
-    ASSERT_DOUBLE_EQ(sym.system->count_states(singleton), 1.0);
+    ASSERT_EQ(sym.system->count_states_exact(singleton), SatCount::make(1));
 
     const Bdd pre = sym.system->pre_image(singleton);
     const Bdd post = sym.system->post_image(singleton);
@@ -122,8 +119,7 @@ TEST(SymbolicRing, BuildsPastTheExplicitWall) {
   EXPECT_THROW(static_cast<void>(ring::RingSystem::build(32)), ModelError);
   // ...the symbolic engine builds it and counts 32 * 2^32 reachable states.
   const SymbolicRing ring = build_symbolic_ring(32);
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(32)));
+  EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(32)));
 }
 
 TEST(SymbolicRing, ChecksSectionFiveAgPropertiesAtThirtyTwo) {
@@ -165,10 +161,8 @@ TEST(SymbolicRing, SharedManagerAcrossSizes) {
   auto reg = kripke::make_registry();
   const SymbolicRing small = build_symbolic_ring(3, mgr, reg);
   const SymbolicRing big = build_symbolic_ring(5, mgr, reg);
-  EXPECT_DOUBLE_EQ(big.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(5)));
-  EXPECT_DOUBLE_EQ(small.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(3)));
+  EXPECT_EQ(big.system->num_states(), SatCount::make(ring::ring_state_count(5)));
+  EXPECT_EQ(small.system->num_states(), SatCount::make(ring::ring_state_count(3)));
   // Image primitives of the small system still work after the growth:
   // every reachable state has a successor inside the reachable set (the
   // paper's totality argument), i.e. reach is a subset of its own pre-image.
@@ -318,13 +312,11 @@ TEST(SymbolicRing, BuildAllocatesAtMostTwiceTheRelationsNodes) {
 
 TEST(SymbolicRing, ReachableCountExactAtCapOf256) {
   // The acceptance pin for the raised cap: M_256 builds, and its reachable
-  // count is exactly r * 2^r = 2^264 — representable exactly as a double
-  // (a power of two), so EXPECT_DOUBLE_EQ is an equality of integers here.
+  // count is exactly r * 2^r = 2^264.
   const SymbolicRing ring = build_symbolic_ring(kMaxSymbolicRingSize);
   EXPECT_EQ(ring.r, 256u);
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(), std::ldexp(1.0, 264));
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                   256.0 * std::ldexp(1.0, 256));
+  EXPECT_EQ(ring.system->num_states(), SatCount::make(256, 256));
+  EXPECT_EQ(ring.system->num_states(), SatCount::make(1, 264));
   // The exact counter renders the full 80-digit integer, not a double.
   const SatCount exact = ring.system->num_states();
   EXPECT_EQ(exact, SatCount::make(1, 264));

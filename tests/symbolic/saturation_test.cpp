@@ -106,7 +106,7 @@ TEST(SaturationSplit, SingleFlipPartsSaturateToAllFourStates) {
   const BddRef initial = mgr->bdd_and(mgr->nvar(0), mgr->nvar(2));
   const TransitionSystem ts(mgr, 2, initial, {flip0, flip1}, reg, {}, {});
   EXPECT_EQ(ts.saturation_events(0).size(), 1u);
-  EXPECT_DOUBLE_EQ(ts.num_reachable(), 4.0);
+  EXPECT_EQ(ts.num_states(), SatCount::make(4));
 }
 
 TEST(SaturationReach, MatchesTheFrontierLoopOnTheOnePartRelation) {

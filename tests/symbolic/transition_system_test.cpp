@@ -4,8 +4,6 @@
 // explicit state space.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "../helpers.hpp"
 #include "symbolic/transition_system.hpp"
 
@@ -39,7 +37,7 @@ TEST(StateMinterm, EncodesBits) {
   // 5 = 0b0101: x0=1, x1=0, x2=1, x3=0 at the unprimed (even) variables.
   EXPECT_TRUE(mgr->eval(m5, {true, false, false, false, true, false, false, false}));
   EXPECT_FALSE(mgr->eval(m5, {true, false, true, false, true, false, false, false}));
-  EXPECT_DOUBLE_EQ(mgr->sat_count(m5), std::ldexp(1.0, 8 - 4));  // primed free
+  EXPECT_EQ(mgr->sat_count_exact(m5), SatCount::make(1, 8 - 4));  // primed free
   // Primed minterm lives on odd variables.
   const Bdd p5 = state_minterm(*mgr, 4, 5, /*primed=*/true);
   EXPECT_TRUE(mgr->eval(p5, {false, true, false, false, false, true, false, false}));
@@ -58,7 +56,7 @@ TEST(FromStructure, ImagesMatchExplicitOnTwoStateLoop) {
   EXPECT_TRUE(contains(ts, ts.pre_image(sym_a), 1));
   EXPECT_FALSE(contains(ts, ts.post_image(sym_a), 0));
   EXPECT_TRUE(contains(ts, ts.post_image(sym_a), 1));
-  EXPECT_DOUBLE_EQ(ts.num_reachable(), 2.0);
+  EXPECT_EQ(ts.num_states(), SatCount::make(2));
 }
 
 TEST(FromStructure, ImagesMatchExplicitOnRandomStructures) {
@@ -70,7 +68,7 @@ TEST(FromStructure, ImagesMatchExplicitOnRandomStructures) {
 
     // Every reachable minterm corresponds to a real state and vice versa
     // (random_structure restricts to reachable states).
-    EXPECT_DOUBLE_EQ(ts.num_reachable(), static_cast<double>(n)) << "seed " << seed;
+    EXPECT_EQ(ts.num_states(), SatCount::make(n)) << "seed " << seed;
 
     // pre/post of a pseudo-random set agree with the CSR primitives.
     DynamicBitset set(n);
@@ -100,8 +98,7 @@ TEST(FromStructure, PropColumnsCarryOver) {
     ASSERT_TRUE(states.has_value());
     for (kripke::StateId s = 0; s < m.num_states(); ++s)
       EXPECT_EQ(contains(ts, *states, s), m.has_prop(s, p)) << "prop " << p;
-    EXPECT_DOUBLE_EQ(ts.count_states(*states),
-                     static_cast<double>(m.states_with(p).count()));
+    EXPECT_EQ(ts.count_states_exact(*states), SatCount::make(m.states_with(p).count()));
   }
   EXPECT_FALSE(ts.prop_states(9999).has_value());
 }
@@ -110,14 +107,13 @@ TEST(FromStructure, InitialAndIndexSet) {
   const auto sys = testing::ring_of(3);
   const TransitionSystem ts = from_structure(sys.structure());
   EXPECT_TRUE(contains(ts, ts.initial(), sys.structure().initial()));
-  EXPECT_DOUBLE_EQ(ts.count_states(ts.initial()), 1.0);
+  EXPECT_EQ(ts.count_states_exact(ts.initial()), SatCount::make(1));
   ASSERT_EQ(ts.index_set().size(), 3u);
   EXPECT_EQ(ts.index_set()[0], 1u);
   EXPECT_EQ(ts.index_set()[2], 3u);
   EXPECT_EQ(ts.registry(), sys.structure().registry());
   // The ring's explicit structure is already its reachable restriction.
-  EXPECT_DOUBLE_EQ(ts.num_reachable(),
-                   static_cast<double>(sys.structure().num_states()));
+  EXPECT_EQ(ts.num_states(), SatCount::make(sys.structure().num_states()));
 }
 
 TEST(FromStructure, BridgeStaysSinglePartition) {
