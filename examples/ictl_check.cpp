@@ -27,6 +27,7 @@
 // restriction report (whether Theorem 5 would license transferring the
 // verdict across network sizes), and — for E/A-shaped CTL formulas — a
 // witness or counterexample trace.
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -146,10 +147,14 @@ int main(int argc, char** argv) {
   std::string stats_path;
   rt::BudgetLimits limits;
   std::vector<std::string> positional;
+  // Digits only: strtoull would read "-1" as 2^64 - 1 and clamp an
+  // out-of-range value to it.
   const auto parse_u64 = [](const char* text, std::uint64_t& out) {
+    if (*text < '0' || *text > '9') return false;
+    errno = 0;
     char* end = nullptr;
     const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') return false;
+    if (*end != '\0' || errno == ERANGE) return false;
     out = v;
     return true;
   };
@@ -165,12 +170,14 @@ int main(int argc, char** argv) {
       stats_path = arg + 8;
     } else if (std::strncmp(arg, "--timeout=", 10) == 0) {
       char* end = nullptr;
-      const double secs = std::strtod(arg + 10, &end);
-      if (end == arg + 10 || *end != '\0' || secs <= 0) {
+      const double ns = std::strtod(arg + 10, &end) * 1e9;
+      // At least 1 ns, since a 0 deadline reads as unlimited, and below
+      // 2^64 ns, past which (and for NaN) the conversion is undefined.
+      if (end == arg + 10 || *end != '\0' || !(ns >= 1 && ns < 0x1p64)) {
         std::cerr << "bad --timeout value: " << (arg + 10) << "\n";
         return 2;
       }
-      limits.deadline_ns = static_cast<std::uint64_t>(secs * 1e9);
+      limits.deadline_ns = static_cast<std::uint64_t>(ns);
     } else if (std::strncmp(arg, "--node-limit=", 13) == 0) {
       std::uint64_t v = 0;
       if (!parse_u64(arg + 13, v) || v == 0) {

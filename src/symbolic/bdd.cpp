@@ -29,6 +29,16 @@ std::uint64_t pair_hash(Bdd low, Bdd high) {
   return mix((static_cast<std::uint64_t>(low) << 32) ^ high);
 }
 
+/// Whether sifting may move every (2k, 2k+1) variable pair as one block:
+/// an even variable count, each pair on adjacent levels, unprimed on top.
+bool sifts_in_pairs(const BddManager& mgr) {
+  return mgr.num_vars() % 2 == 0 && mgr.pairs_adjacent(mgr.num_vars() / 2);
+}
+
+constexpr const char* kNotInPairs =
+    ": sifting moves (2k, 2k+1) variable pairs as blocks, so it needs an even "
+    "variable count and each pair on adjacent levels (unprimed above primed)";
+
 constexpr const char* kSatCountOverflow =
     "SatCount: sum overflows the 128-bit mantissa";
 
@@ -138,10 +148,7 @@ SatCount& SatCount::operator+=(const SatCount& other) {
 
 // ---- BddManager -------------------------------------------------------------
 
-BddManager::BddManager(std::uint32_t num_vars, std::uint32_t cache_log2)
-    : num_vars_(num_vars) {
-  support::require<Error>(cache_log2 >= 4 && cache_log2 <= 28,
-                          "BddManager: cache_log2 out of [4, 28]");
+BddManager::BddManager(std::uint32_t num_vars) : num_vars_(num_vars) {
   nodes_.push_back({kTerminalVar, kBddFalse, kBddFalse, kNoNode});  // 0 = false
   nodes_.push_back({kTerminalVar, kBddTrue, kBddTrue, kNoNode});    // 1 = true
   ref_.assign(2, 0);
@@ -156,8 +163,6 @@ BddManager::BddManager(std::uint32_t num_vars, std::uint32_t cache_log2)
   std::iota(var2level_.begin(), var2level_.end(), 0u);
   std::iota(level2var_.begin(), level2var_.end(), 0u);
   var_live_count_.assign(num_vars_, 0);
-  cache_log2_ = cache_log2;
-  cache_set_mask_ = (std::uint32_t{1} << (cache_log2 - 1)) - 1;
 }
 
 std::uint32_t BddManager::new_var() {
@@ -407,7 +412,7 @@ void BddManager::note_growth() {
   // Only FLAG maintenance here — mk() runs deep inside the operator
   // recursions, where reordering or a sweep would corrupt in-flight
   // cofactors.  The public entry points run it after rooting their result.
-  if (reorder_hook_ != nullptr && !in_reorder_ && nodes_.size() >= reorder_threshold_)
+  if (reorder_threshold_ != 0 && !in_reorder_ && nodes_.size() >= reorder_threshold_)
     reorder_pending_ = true;
   // live_nodes_ still counts queued (released-but-unflushed) roots, which
   // would let churn garbage inflate its own trigger threshold; subtract the
@@ -449,7 +454,7 @@ void BddManager::rehash_subtable(SubTable& t, std::size_t new_buckets) {
 }
 
 void BddManager::run_deferred_maintenance() {
-  fire_pending_reorder_hook();
+  fire_pending_reorder();
   if (gc_pending_ && !in_reorder_ && protect_scope_depth_ == 0) {
     gc_pending_ = false;
     garbage_collect();
@@ -469,13 +474,12 @@ void BddManager::enforce_node_budget() {
   ICTL_COUNT("bdd", "node_budget_gcs");
   garbage_collect();
   if (live_nodes_ <= cap) return;
-  // Ladder step 2: forced sifting shrinks the live set itself, pair-grouped
-  // so that a TransitionSystem's (2k, 2k+1) pairs stay adjacent.  An order
-  // that cannot be pair-grouped is not sifted: sifting single variables
-  // could separate a pair and leave the system unusable after the trip.
-  if (num_vars_ % 2 == 0 && pairs_adjacent(num_vars_ / 2)) {
+  // Ladder step 2: forced sifting shrinks the live set itself.  An order
+  // reorder_now would reject (a pair apart, or an odd variable count) is
+  // not sifted: the trip below is the typed error, not the sift's.
+  if (sifts_in_pairs(*this)) {
     ICTL_COUNT("bdd", "node_budget_sifts");
-    reorder_now();  // the default options group pairs
+    reorder_now();
     if (live_nodes_ <= cap) return;
   }
   // Ladder step 3: nothing left to shed.  The throw happens here, at the
@@ -484,43 +488,25 @@ void BddManager::enforce_node_budget() {
   budget->trip(BudgetKind::kNodes, "bdd/node_cap");
 }
 
-void BddManager::fire_pending_reorder_hook() {
-  if (!reorder_pending_ || reorder_hook_ == nullptr || in_reorder_ ||
-      protect_scope_depth_ > 0)
-    return;
+void BddManager::fire_pending_reorder() {
+  if (!reorder_pending_ || in_reorder_ || protect_scope_depth_ > 0) return;
   reorder_pending_ = false;
   ++stats_.reorder_hook_calls;
-  const std::size_t grown_to = nodes_.size();
-  // Double the threshold before invoking: ops the hook itself performs may
-  // re-flag, but re-fire only after genuine further growth.
-  while (reorder_threshold_ <= grown_to) reorder_threshold_ *= 2;
-  reorder_hook_(*this, grown_to);
+  // Double the threshold before sifting: a sift that throws (a pair
+  // separated since arming) or grows the table re-fires only after genuine
+  // further growth.
+  while (reorder_threshold_ <= nodes_.size()) reorder_threshold_ *= 2;
+  reorder_now();
 }
 
-void BddManager::set_reorder_hook(std::function<void(BddManager&, std::size_t)> hook,
-                                  std::size_t threshold) {
-  reorder_hook_ = std::move(hook);
-  reorder_threshold_ = threshold == 0 ? 1 : threshold;
-  reorder_pending_ = false;
-}
-
-void BddManager::enable_dynamic_reordering(std::size_t threshold,
-                                           const ReorderOptions& options) {
+void BddManager::enable_dynamic_reordering(std::size_t threshold) {
   // Fail fast at the misconfigured call: without this, the pair-grouping
   // requirements would only surface as a throw from whichever unrelated
   // public operation happens to cross the growth threshold later.
-  if (options.group_pairs) {
-    support::require<Error>(num_vars_ % 2 == 0,
-                            "BddManager::enable_dynamic_reordering: pair grouping "
-                            "needs an even variable count");
-    support::require<Error>(
-        pairs_adjacent(num_vars_ / 2),
-        "BddManager::enable_dynamic_reordering: pair grouping needs each "
-        "(2k, 2k+1) pair on adjacent levels (unprimed above primed)");
-  }
-  set_reorder_hook(
-      [options](BddManager& mgr, std::size_t) { mgr.reorder_now(options); },
-      threshold);
+  support::require<Error>(sifts_in_pairs(*this),
+                          std::string("BddManager::enable_dynamic_reordering") + kNotInPairs);
+  reorder_threshold_ = std::max(threshold, 2 * nodes_.size());
+  reorder_pending_ = false;
 }
 
 // ---- Garbage collection -----------------------------------------------------
@@ -570,7 +556,7 @@ std::size_t BddManager::cache_set(Op op, Bdd a, Bdd b, Bdd c) const {
   const std::uint64_t h =
       mix((static_cast<std::uint64_t>(a) << 32) ^ (static_cast<std::uint64_t>(b) << 8) ^
           (static_cast<std::uint64_t>(c) << 2) ^ static_cast<std::uint64_t>(op));
-  return (static_cast<std::size_t>(h) & cache_set_mask_) * 2;
+  return (static_cast<std::size_t>(h) & kCacheSetMask) * 2;
 }
 
 bool BddManager::cache_lookup(Op op, Bdd a, Bdd b, Bdd c, Bdd& out) {
@@ -650,7 +636,6 @@ BddRef BddManager::bdd_not(Bdd f) { return ite(f, kBddFalse, kBddTrue); }
 BddRef BddManager::bdd_and(Bdd f, Bdd g) { return ite(f, g, kBddFalse); }
 BddRef BddManager::bdd_or(Bdd f, Bdd g) { return ite(f, kBddTrue, g); }
 BddRef BddManager::bdd_xor(Bdd f, Bdd g) { return ite(f, bdd_not(g), g); }
-BddRef BddManager::bdd_implies(Bdd f, Bdd g) { return ite(f, g, kBddTrue); }
 BddRef BddManager::bdd_iff(Bdd f, Bdd g) { return ite(f, g, bdd_not(g)); }
 BddRef BddManager::bdd_diff(Bdd f, Bdd g) { return ite(g, kBddFalse, f); }
 
@@ -669,43 +654,6 @@ BddRef BddManager::cube(const std::vector<std::uint32_t>& vars) {
   return result;
 }
 
-BddRef BddManager::exists(Bdd f, Bdd cube) {
-  ICTL_ASSERT(f < nodes_.size() && cube < nodes_.size());
-  ensure_cache();
-  BddRef result(*this, exists_rec(f, cube));
-  run_deferred_maintenance();
-  return result;
-}
-
-BddRef BddManager::forall(Bdd f, Bdd cube) {
-  return bdd_not(exists(bdd_not(f), cube));
-}
-
-Bdd BddManager::exists_rec(Bdd f, Bdd cube) {
-  if (is_terminal(f) || cube == kBddTrue) return f;
-  // Quantified variables above f's top are vacuous.
-  while (cube != kBddTrue && level(cube) < level(f)) cube = nodes_[cube].high;
-  if (cube == kBddTrue) return f;
-
-  Bdd cached;
-  if (cache_lookup(Op::kExists, f, cube, 0, cached)) return cached;
-
-  const Node n = nodes_[f];  // copy: mk() below may reallocate nodes_
-  Bdd result;
-  if (level(cube) == var2level_[n.var]) {
-    const Bdd rest = nodes_[cube].high;
-    const Bdd lo = exists_rec(n.low, rest);
-    // ite_rec, not the public bdd_or: no deferred maintenance may run while
-    // this frame holds node handles.
-    result = lo == kBddTrue ? kBddTrue
-                            : ite_rec(lo, kBddTrue, exists_rec(n.high, rest));
-  } else {
-    result = mk(n.var, exists_rec(n.low, cube), exists_rec(n.high, cube));
-  }
-  cache_store(Op::kExists, f, cube, 0, result);
-  return result;
-}
-
 BddRef BddManager::and_exists(Bdd f, Bdd g, Bdd cube) {
   ICTL_ASSERT(f < nodes_.size() && g < nodes_.size() && cube < nodes_.size());
   ensure_cache();
@@ -716,12 +664,16 @@ BddRef BddManager::and_exists(Bdd f, Bdd g, Bdd cube) {
 
 Bdd BddManager::and_exists_rec(Bdd f, Bdd g, Bdd cube) {
   if (f == kBddFalse || g == kBddFalse) return kBddFalse;
-  if (f == kBddTrue) return exists_rec(g, cube);
-  if (g == kBddTrue || f == g) return exists_rec(f, cube);
-  if (f > g) std::swap(f, g);  // conjunction is commutative: canonical key
+  if (f == g) g = kBddTrue;
+  // Conjunction is commutative: a canonical key, and kBddTrue, the least
+  // handle left, ends up in f.
+  if (f > g) std::swap(f, g);
 
+  // Quantified variables above both tops are vacuous; once the cube runs
+  // out, what remains is the plain conjunction.
   const std::uint32_t top = std::min(level(f), level(g));
   while (cube != kBddTrue && level(cube) < top) cube = nodes_[cube].high;
+  if (cube == kBddTrue) return ite_rec(f, g, kBddFalse);
 
   Bdd cached;
   if (cache_lookup(Op::kAndExists, f, g, cube, cached)) return cached;
@@ -730,7 +682,7 @@ Bdd BddManager::and_exists_rec(Bdd f, Bdd g, Bdd cube) {
     return level(x) == top ? (hi ? nodes_[x].high : nodes_[x].low) : x;
   };
   Bdd result;
-  if (cube != kBddTrue && level(cube) == top) {
+  if (level(cube) == top) {
     const Bdd rest = nodes_[cube].high;
     const Bdd lo = and_exists_rec(cofactor(f, false), cofactor(g, false), rest);
     // ite_rec, not the public bdd_or — same mid-recursion maintenance hazard.
@@ -855,7 +807,6 @@ void BddManager::swap_adjacent_levels(std::uint32_t lvl) {
   // while its cone still carries its counts.
   flush_dead_queue();
   swap_levels_internal(lvl);
-  ++reorder_count_;
   invalidate_operation_caches();
 #ifdef ICTL_AUDIT
   assert_audit(AuditLevel::kFull, "swap_adjacent_levels");
@@ -979,24 +930,22 @@ std::size_t BddManager::collect_dead_nodes() {
   return retired;
 }
 
-void BddManager::exchange_blocks(std::uint32_t pos, std::uint32_t block_size) {
-  // Exchanges the adjacent uniform blocks at positions pos and pos + 1:
-  // bubble each variable of the upper block, bottom-most first, down past
-  // the lower block.
-  const std::uint32_t l = pos * block_size;
-  for (std::uint32_t i = block_size; i >= 1; --i)
-    for (std::uint32_t k = 0; k < block_size; ++k)
-      swap_levels_internal(l + i - 1 + k);
+void BddManager::exchange_blocks(std::uint32_t pos) {
+  // Exchanges the adjacent pair blocks at positions pos and pos + 1
+  // (levels 2pos..2pos+3): bubble each variable of the upper pair,
+  // bottom-most first, down past the lower pair.
+  const std::uint32_t l = 2 * pos;
+  for (const std::uint32_t from : {l + 1, l})
+    for (std::uint32_t k = 0; k < 2; ++k) swap_levels_internal(from + k);
 }
 
-void BddManager::sift_block(std::uint32_t top_var, std::uint32_t block_size,
-                            std::uint32_t num_blocks, double max_growth) {
+void BddManager::sift_block(std::uint32_t top_var, std::uint32_t num_blocks) {
   ICTL_PROFILE_ARG("bdd", "sift_journey", "top_var", top_var);
-  ICTL_ASSERT(var2level_[top_var] % block_size == 0);
-  std::uint32_t pos = var2level_[top_var] / block_size;
+  ICTL_ASSERT(var2level_[top_var] % 2 == 0);
+  std::uint32_t pos = var2level_[top_var] / 2;
   const std::size_t start_size = live_nodes_;
-  const std::size_t bound =
-      static_cast<std::size_t>(static_cast<double>(start_size) * max_growth) + 8;
+  // The max-growth bound: 1.2x the live table at the journey's start.
+  const std::size_t bound = start_size + start_size / 5 + 8;
   std::size_t best_size = start_size;
   std::uint32_t best_pos = pos;
   const std::uint32_t last = num_blocks - 1;
@@ -1015,7 +964,7 @@ void BddManager::sift_block(std::uint32_t top_var, std::uint32_t block_size,
     const bool down = (leg == 0) == down_first;
     if (down) {
       while (pos < last && live_nodes_ <= bound) {
-        exchange_blocks(pos, block_size);
+        exchange_blocks(pos);
         ++pos;
         maybe_collect();
         if (live_nodes_ < best_size) {
@@ -1025,7 +974,7 @@ void BddManager::sift_block(std::uint32_t top_var, std::uint32_t block_size,
       }
     } else {
       while (pos > 0 && live_nodes_ <= bound) {
-        exchange_blocks(pos - 1, block_size);
+        exchange_blocks(pos - 1);
         --pos;
         maybe_collect();
         if (live_nodes_ < best_size) {
@@ -1036,27 +985,19 @@ void BddManager::sift_block(std::uint32_t top_var, std::uint32_t block_size,
     }
   }
   while (pos < best_pos) {
-    exchange_blocks(pos, block_size);
+    exchange_blocks(pos);
     ++pos;
   }
   while (pos > best_pos) {
-    exchange_blocks(pos - 1, block_size);
+    exchange_blocks(pos - 1);
     --pos;
   }
 }
 
-std::size_t BddManager::reorder_now(const ReorderOptions& options) {
+std::size_t BddManager::reorder_now() {
   if (in_reorder_ || protect_scope_depth_ > 0 || num_vars_ < 2) return live_nodes();
-  const std::uint32_t block_size = options.group_pairs ? 2u : 1u;
-  if (block_size == 2) {
-    support::require<Error>(
-        num_vars_ % 2 == 0,
-        "BddManager::reorder_now: pair grouping needs an even variable count");
-    support::require<Error>(
-        pairs_adjacent(num_vars_ / 2),
-        "BddManager::reorder_now: pair grouping needs each (2k, 2k+1) pair on "
-        "adjacent levels (unprimed above primed)");
-  }
+  support::require<Error>(sifts_in_pairs(*this),
+                          std::string("BddManager::reorder_now") + kNotInPairs);
   // Above in_reorder_: a throw must not leave the flag stuck.
   ICTL_FAILPOINT("bdd/reorder");
   in_reorder_ = true;
@@ -1065,22 +1006,17 @@ std::size_t BddManager::reorder_now(const ReorderOptions& options) {
   // Sweep before ranking: the block-population ranking and the sift's
   // size accounting must both see the true live set, zombies settled.
   collect_dead_nodes();
-  const std::uint32_t num_blocks = num_vars_ / block_size;
+  const std::uint32_t num_blocks = num_vars_ / 2;
   std::vector<std::uint32_t> ranking(num_blocks);
   std::iota(ranking.begin(), ranking.end(), 0u);
   const auto block_population = [&](std::uint32_t b) {
-    std::size_t total = 0;
-    for (std::uint32_t i = 0; i < block_size; ++i)
-      total += var_live_count_[b * block_size + i];
-    return total;
+    return var_live_count_[2 * b] + var_live_count_[2 * b + 1];
   };
   std::stable_sort(ranking.begin(), ranking.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
                      return block_population(a) > block_population(b);
                    });
-  const std::size_t budget =
-      options.rewrite_budget != 0 ? options.rewrite_budget
-                                  : 16 * live_nodes_ + 4096;
+  const std::size_t budget = 16 * live_nodes_ + 4096;
   const std::size_t rewrites_at_start = stats_.sift_rewrites;
   bool interrupted = false;
   for (const std::uint32_t b : ranking) {
@@ -1093,7 +1029,7 @@ std::size_t BddManager::reorder_now(const ReorderOptions& options) {
       interrupted = true;
       break;
     }
-    sift_block(b * block_size, block_size, num_blocks, options.max_growth);
+    sift_block(2 * b, num_blocks);
     // Swaps rewrite dead nodes alongside live ones (handles must keep
     // their functions), so every block journey grows the zombie pile;
     // retire it before it compounds into the next block's journey.
@@ -1104,7 +1040,6 @@ std::size_t BddManager::reorder_now(const ReorderOptions& options) {
   in_reorder_ = false;
   reorder_pending_ = false;  // growth during the sift is not a new trigger
   gc_pending_ = false;       // the pass collected as it went
-  ++reorder_count_;
   invalidate_operation_caches();
 #ifdef ICTL_AUDIT
   assert_audit(AuditLevel::kFull, "reorder_now");

@@ -25,10 +25,9 @@
 //     max-growth bound.  Reordering works by in-place adjacent-level swaps
 //     on the unique subtables: a swapped node is REWRITTEN in place, so
 //     every LIVE handle keeps denoting the same boolean function across any
-//     reorder — clients never re-translate.  The unprimed/primed
-//     interleaving used by symbolic::TransitionSystem survives because
-//     sifting moves (2k, 2k+1) variable pairs as atomic groups
-//     (ReorderOptions::group_pairs).
+//     reorder — clients never re-translate.  Sifting always moves (2k, 2k+1)
+//     variable pairs as atomic blocks, so the unprimed/primed interleaving
+//     symbolic::TransitionSystem requires survives every pass.
 //   * Liveness is tracked by internal reference counts (live parents) plus
 //     an external root count driven by BddRef / protect / release; the
 //     per-level live counts drive the sifting objective, so sifting sees
@@ -39,9 +38,9 @@
 //   * The computed cache and the rename memo are invalidated epoch-style in
 //     one centralized helper whenever the order changes or a sweep retires
 //     nodes: a retired handle must never come back out of a cache.
-//   * Quantification takes a positive cube (conjunction of variables) so
-//     `exists`/`forall` and the fused relational product `and_exists` — the
-//     workhorse of post-image computation — share one recursion shape.
+//   * Quantification is one recursion, the fused relational product
+//     `and_exists` over a positive cube (conjunction of variables): plain
+//     existential quantification is and_exists(f, kBddTrue, cube).
 //     Pre-images over the interleaved pairs take `pair_pre_image`, which
 //     needs no cube and no rename: it steps one (x, x') pair at a time.
 //
@@ -52,7 +51,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -99,10 +97,9 @@ struct SatCount {
 class BddManager {
  public:
   /// A manager over `num_vars` boolean variables (more may be appended with
-  /// new_var).  `cache_log2` sizes the computed-table cache at 2^cache_log2
-  /// entries (2-way set-associative with aging, lossy — bounded memory
-  /// however long a run).
-  explicit BddManager(std::uint32_t num_vars = 0, std::uint32_t cache_log2 = 18);
+  /// new_var).  The computed-table cache holds 2^18 entries (2-way
+  /// set-associative with aging, lossy — bounded memory however long a run).
+  explicit BddManager(std::uint32_t num_vars = 0);
 
   /// Appends a variable at the bottom of the order; returns its index.
   std::uint32_t new_var();
@@ -152,7 +149,6 @@ class BddManager {
   [[nodiscard]] BddRef bdd_and(Bdd f, Bdd g);
   [[nodiscard]] BddRef bdd_or(Bdd f, Bdd g);
   [[nodiscard]] BddRef bdd_xor(Bdd f, Bdd g);
-  [[nodiscard]] BddRef bdd_implies(Bdd f, Bdd g);
   [[nodiscard]] BddRef bdd_iff(Bdd f, Bdd g);
   /// f & !g.
   [[nodiscard]] BddRef bdd_diff(Bdd f, Bdd g);
@@ -162,12 +158,9 @@ class BddManager {
   /// The positive cube v_0 & v_1 & ... for a set of variables (any order).
   [[nodiscard]] BddRef cube(const std::vector<std::uint32_t>& vars);
 
-  /// Existential / universal quantification over the variables of `cube`.
-  [[nodiscard]] BddRef exists(Bdd f, Bdd cube);
-  [[nodiscard]] BddRef forall(Bdd f, Bdd cube);
-
   /// The relational product  exists cube. f & g  computed in one recursion
-  /// (never materializing f & g) — the image primitive.
+  /// (never materializing f & g) — the image primitive, and with
+  /// g = kBddTrue plain existential quantification.
   [[nodiscard]] BddRef and_exists(Bdd f, Bdd g, Bdd cube);
 
   /// The pre-image over interleaved (2v, 2v+1) pairs:
@@ -269,7 +262,7 @@ class BddManager {
     std::size_t sift_passes = 0;          ///< reorder_now invocations that ran
     std::size_t sift_swaps = 0;           ///< adjacent-level swaps performed
     std::size_t sift_rewrites = 0;        ///< nodes rewritten in place by swaps
-    std::size_t peak_nodes = 0;           ///< high-water node count
+    std::size_t peak_nodes = 0;           ///< slots allocated, == num_nodes()
     std::size_t gc_runs = 0;              ///< completed garbage_collect sweeps
     std::size_t gc_retired = 0;           ///< nodes retired across all sweeps
   };
@@ -277,66 +270,37 @@ class BddManager {
 
   // ---- Dynamic reordering --------------------------------------------------
 
-  struct ReorderOptions {
-    /// Abort a sift direction once the table grows past max_growth times
-    /// its size at the start of the variable's sift.
-    double max_growth;
-    /// Sift (2k, 2k+1) variable pairs as atomic blocks — REQUIRED whenever
-    /// the manager carries a TransitionSystem, whose unprimed/primed pairs
-    /// must stay adjacent (pairs_adjacent): once ungrouped sifting or
-    /// swap_adjacent_levels has separated them, the system's next reach or
-    /// pre-image throws a typed error.  Needs an even variable count and
-    /// pairwise-adjacent levels.
-    bool group_pairs;
-    /// Stop the pass once this many node rewrites have been spent (the
-    /// CUDD siftMaxSwap analogue): blocks are visited most-populous first,
-    /// so a budgeted pass fixes the worst offenders and returns instead of
-    /// dragging every variable across every level of a large table.
-    /// 0 = automatic (16x the live count); SIZE_MAX = unbounded.
-    std::size_t rewrite_budget;
-    // Constructor instead of member initializers: gcc rejects NSDMIs of a
-    // nested class in default arguments of the enclosing class's methods.
-    constexpr explicit ReorderOptions(double growth = 1.2, bool pairs = true,
-                                      std::size_t budget = 0)
-        : max_growth(growth), group_pairs(pairs), rewrite_budget(budget) {}
-  };
+  /// One full sifting pass, now: every (2k, 2k+1) variable pair is sifted
+  /// as one block to its locally optimal level, most populous block first.
+  /// A block's journey stops in a direction once the live table outgrows
+  /// 1.2x its size at the journey's start, and the pass stops once it has
+  /// spent 16x the live count + 4096 node rewrites (the CUDD siftMaxSwap
+  /// analogue), so a pass fixes the worst offenders and returns instead of
+  /// dragging every block across every level of a large table.  Live
+  /// handles keep their functions; dead nodes are retired.  Returns
+  /// live_nodes().  Throws Error unless the variable count is even and
+  /// every pair sits on adjacent levels, unprimed on top (pairs_adjacent):
+  /// sifting never separates a pair, so a TransitionSystem stays usable.
+  std::size_t reorder_now();
 
-  /// One full sifting pass, now: every variable (or pair block) is sifted
-  /// to its locally optimal level under the growth bound, most populous
-  /// block first.  Live handles keep their functions; dead nodes are
-  /// retired.  Returns live_nodes().
-  std::size_t reorder_now(const ReorderOptions& options = ReorderOptions());
-
-  /// Attaches an internal growth hook that runs reorder_now whenever the
-  /// node count first crosses `threshold` (which then doubles) — the
-  /// production way to turn sifting on.
-  void enable_dynamic_reordering(std::size_t threshold = std::size_t{1} << 14,
-                                 const ReorderOptions& options = ReorderOptions());
+  /// Arms the growth trigger: reorder_now runs after the public operation
+  /// during which the node count first crosses the threshold, which then
+  /// doubles.  The first threshold is max(threshold, 2 * num_nodes()) —
+  /// "the table outgrew what it holds now", so arming a manager that
+  /// already holds a large, well-ordered relation does not sift at once
+  /// for nothing.  Throws Error on an order reorder_now would reject.
+  void enable_dynamic_reordering(std::size_t threshold = std::size_t{1} << 14);
 
   /// Swaps the variables at `level` and `level + 1` in place (the sifting
   /// primitive, exposed for deterministic order control and tests).  Every
   /// handle keeps its function; caches are invalidated.
   void swap_adjacent_levels(std::uint32_t level);
 
-  /// Completed reorder passes — an epoch clients can compare to notice that
-  /// levels moved (handles and their functions never change).
-  [[nodiscard]] std::uint64_t reorder_count() const noexcept { return reorder_count_; }
-
   /// Whether every variable pair (2k, 2k+1) with k < num_pairs sits on
   /// adjacent levels, 2k directly above 2k+1 — the interleaving
   /// symbolic::TransitionSystem requires of its state variables and
   /// pair-grouped sifting preserves.  Requires 2 * num_pairs <= num_vars().
   [[nodiscard]] bool pairs_adjacent(std::uint32_t num_pairs) const;
-
-  /// Attachment point for custom reordering policy: `hook` fires whenever
-  /// the node count first crosses `threshold`, which then doubles.  The
-  /// crossing is detected during node creation but the hook is invoked only
-  /// when the triggering public operation returns — never mid-recursion, so
-  /// a hook that reorders (e.g. calls reorder_now) cannot corrupt an
-  /// in-flight ITE.  Pass nullptr to detach.  enable_dynamic_reordering is
-  /// sugar for a hook that sifts.
-  void set_reorder_hook(std::function<void(BddManager&, std::size_t)> hook,
-                        std::size_t threshold = 1u << 16);
 
   [[nodiscard]] std::uint32_t node_var(Bdd f) const;
   [[nodiscard]] Bdd node_low(Bdd f) const;
@@ -426,10 +390,11 @@ class BddManager {
   void rehash_subtable(SubTable& table, std::size_t new_buckets);
 
   /// Invoked at the end of every public operation (after the result has
-  /// been rooted): runs the reorder hook if mk() flagged a threshold
-  /// crossing, then any pending garbage collection.
+  /// been rooted): sifts if mk() flagged a threshold crossing, then runs
+  /// any pending garbage collection.  Never mid-recursion, so a sift cannot
+  /// corrupt an in-flight ITE.
   void run_deferred_maintenance();
-  void fire_pending_reorder_hook();
+  void fire_pending_reorder();
 
   /// Graceful degradation under an installed ResourceBudget node cap: when
   /// the live set is over the cap, escalate GC -> forced sifting -> only
@@ -472,9 +437,8 @@ class BddManager {
   /// look a retired handle up again.
   std::size_t collect_dead_nodes();
   void swap_levels_internal(std::uint32_t lvl);
-  void exchange_blocks(std::uint32_t pos, std::uint32_t block_size);
-  void sift_block(std::uint32_t top_var, std::uint32_t block_size,
-                  std::uint32_t num_blocks, double max_growth);
+  void exchange_blocks(std::uint32_t pos);
+  void sift_block(std::uint32_t top_var, std::uint32_t num_blocks);
 
   // Per-tier audit passes (audit() composes them; AuditInjector's tests
   // drive audit_satcount directly with hand-corrupted counts).
@@ -486,7 +450,6 @@ class BddManager {
                              AuditReport& report);
 
   Bdd ite_rec(Bdd f, Bdd g, Bdd h);
-  Bdd exists_rec(Bdd f, Bdd cube);
   Bdd and_exists_rec(Bdd f, Bdd g, Bdd cube);
   Bdd pair_pre_image_rec(Bdd relation, Bdd set);
   Bdd rename_rec(Bdd f, const std::vector<std::uint32_t>& map);
@@ -495,7 +458,7 @@ class BddManager {
 
   // Computed-table cache: 2-way set-associative, keyed (op, a, b, c), with
   // epoch-stamped entries (epoch mismatch == invalid) and last-use aging.
-  enum class Op : std::uint32_t { kNone = 0, kIte, kExists, kAndExists, kPairPreImage };
+  enum class Op : std::uint32_t { kNone = 0, kIte, kAndExists, kPairPreImage };
   struct CacheEntry {
     Op op = Op::kNone;
     Bdd a = 0, b = 0, c = 0;
@@ -522,25 +485,24 @@ class BddManager {
   std::vector<std::size_t> var_live_count_;  // live nodes labeled each var
   std::size_t live_nodes_ = 0;
 
+  static constexpr std::uint32_t kCacheLog2 = 18;
+  static constexpr std::size_t kCacheSetMask = (std::size_t{1} << (kCacheLog2 - 1)) - 1;
+
   /// Allocates the computed table on the first operation that consults
   /// it: a manager that only loads or builds nodes through make_node (a
-  /// store reload) never pays for faulting in 2^cache_log2 entries.
+  /// store reload) never pays for faulting in 2^kCacheLog2 entries.
   void ensure_cache() {
-    if (cache_.empty()) cache_.assign(std::size_t{1} << cache_log2_, CacheEntry{});
+    if (cache_.empty()) cache_.assign(std::size_t{1} << kCacheLog2, CacheEntry{});
   }
 
   std::vector<CacheEntry> cache_;  // empty until ensure_cache()
-  std::uint32_t cache_log2_;
-  std::uint32_t cache_set_mask_;
   std::uint32_t cache_epoch_ = 1;
   std::uint32_t cache_tick_ = 0;
 
   Stats stats_;
-  std::function<void(BddManager&, std::size_t)> reorder_hook_;
-  std::size_t reorder_threshold_ = 0;
+  std::size_t reorder_threshold_ = 0;  // 0 until enable_dynamic_reordering
   bool reorder_pending_ = false;
   bool in_reorder_ = false;
-  std::uint64_t reorder_count_ = 0;
 
   // GC policy state (see garbage_collect / enable_auto_gc).
   bool gc_enabled_ = false;

@@ -175,8 +175,7 @@ Bdd exactly_one_holder(BddManager& m, std::uint32_t r) {
 }  // namespace
 
 SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mgr,
-                                 kripke::PropRegistryPtr registry,
-                                 const SymbolicRingOptions& options) {
+                                 kripke::PropRegistryPtr registry) {
   support::require<ModelError>(
       r >= 2,
       "build_symbolic_ring: need at least two processes (the paper notes no "
@@ -207,9 +206,8 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   const std::uint32_t c_var = 2 * r;  // state var of the phase bit
   // The whole build runs under one protect_scope: it defers both garbage
   // collection and growth-triggered reordering (a shared manager may arrive
-  // with a growth hook from an earlier dynamic_reordering build, or with
-  // auto-GC armed), so every raw make_node handle below stays valid until
-  // the TransitionSystem constructor roots what it retains.
+  // with either armed), so every raw make_node handle below stays valid
+  // until the TransitionSystem constructor roots what it retains.
   const auto frozen_order = m.protect_scope();
   ChainBuilder chain(m, num_state_vars);
 
@@ -349,13 +347,6 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   }
   chain.at(c_var) = {Unprimed::kFalse, Primed::kFree};
   const Bdd initial = chain.build();
-
-  // The trigger means "the table outgrew the build", not an absolute size:
-  // on a manager that already holds a large, well-ordered relation a fixed
-  // threshold would fire immediately and sift for nothing.
-  if (options.dynamic_reordering)
-    mgr->enable_dynamic_reordering(
-        std::max<std::size_t>(options.reorder_threshold, 2 * mgr->num_nodes()));
 
   // ---- Labels ---------------------------------------------------------------
   const auto d = [&](std::uint32_t i) {

@@ -45,17 +45,6 @@ namespace ictl::symbolic {
 /// each, cubic in r.  256 is as far as the suites and benchmarks go.
 constexpr std::uint32_t kMaxSymbolicRingSize = 256;
 
-struct SymbolicRingOptions {
-  /// Turn on sifting (BddManager::enable_dynamic_reordering, pair-grouped)
-  /// before the relation is built.  The interleaved default order is
-  /// already near-optimal for the ring, so this mainly serves the
-  /// order-robustness tests; scrambled initial orders recover.
-  bool dynamic_reordering = false;
-  /// Node-count threshold for the first automatic sift (when
-  /// dynamic_reordering is set).
-  std::size_t reorder_threshold = std::size_t{1} << 14;
-};
-
 struct SymbolicRing {
   std::shared_ptr<TransitionSystem> system;
   std::uint32_t r = 0;
@@ -78,10 +67,13 @@ struct SymbolicRing {
 /// Builds the symbolic M_r for 2 <= r <= kMaxSymbolicRingSize over a fresh
 /// or shared manager/registry.  Registers the same propositions in the same
 /// order as RingSystem::build, so a shared registry yields identical
-/// PropIds across the explicit and symbolic engines.
+/// PropIds across the explicit and symbolic engines.  Sifting is the
+/// caller's choice, made on the manager after the build
+/// (BddManager::enable_dynamic_reordering): the interleaved default order
+/// is already near-optimal for the ring, and scrambled initial orders
+/// recover.
 [[nodiscard]] SymbolicRing build_symbolic_ring(
     std::uint32_t r, std::shared_ptr<BddManager> mgr = nullptr,
-    kripke::PropRegistryPtr registry = nullptr,
-    const SymbolicRingOptions& options = {});
+    kripke::PropRegistryPtr registry = nullptr);
 
 }  // namespace ictl::symbolic

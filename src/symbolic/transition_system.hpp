@@ -40,10 +40,9 @@
 // the BDD variable pair (2v, 2v+1), and the pair sits on adjacent levels,
 // unprimed on top (BddManager::pairs_adjacent).  That is an invariant:
 // construction refuses any other order, so a store blob with a separated
-// pair fails to load, and audit() checks it again.  Dynamic reordering
-// keeps it by group-sifting the pairs; once ungrouped sifting or
-// swap_adjacent_levels separates a pair, the next reach or pre-image
-// throws.
+// pair fails to load, and audit() checks it again.  Sifting keeps it, as
+// it moves the pairs only as blocks; once swap_adjacent_levels separates a
+// pair, the next reach, pre-image or sift throws.
 #pragma once
 
 #include <cstdint>

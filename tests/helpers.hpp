@@ -54,6 +54,19 @@ inline std::vector<std::uint32_t> scrambled_pair_order(std::uint32_t num_vars,
   return level2var;
 }
 
+/// "exists v. t" for a truth table t over 6 variables (bit a holds t at
+/// the assignment whose variable u is bit u of a).
+inline std::uint64_t exists_table(std::uint64_t t, std::uint32_t v) {
+  std::uint64_t table = 0;
+  for (std::uint32_t a = 0; a < 64; ++a) {
+    const std::uint32_t lo = a & ~(1u << v);
+    const std::uint32_t hi = a | (1u << v);
+    if (((t >> lo) & 1u) != 0 || ((t >> hi) & 1u) != 0)
+      table |= std::uint64_t{1} << a;
+  }
+  return table;
+}
+
 /// A two-state loop a -> b -> a with labels {a} and {b}.
 inline kripke::Structure two_state_loop(kripke::PropRegistryPtr reg) {
   kripke::StructureBuilder b(reg);

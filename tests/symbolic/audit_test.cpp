@@ -120,7 +120,7 @@ TEST(BddAudit, CleanAfterGcReorderAndStress) {
   EXPECT_TRUE(mgr.audit().ok());
   mgr.garbage_collect();
   EXPECT_TRUE(mgr.audit().ok());
-  mgr.reorder_now(BddManager::ReorderOptions(1.5, /*pairs=*/true));
+  mgr.reorder_now();
   EXPECT_TRUE(mgr.audit().ok());
   mgr.swap_adjacent_levels(2);
   EXPECT_TRUE(mgr.audit().ok());

@@ -1,7 +1,7 @@
 // Unit tests for the BDD manager: canonicity (hash-consing), the ITE
-// identities, quantification, renaming, counting, and the computed-table /
-// reorder-hook plumbing.  Operators are validated against brute-force
-// truth-table evaluation over small variable counts.
+// identities, quantification, renaming, counting, and the computed-table
+// plumbing.  Operators are validated against brute-force truth-table
+// evaluation over small variable counts.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -92,7 +92,6 @@ TEST(BddManager, OperatorsMatchTruthTables) {
       EXPECT_EQ(truth_table(mgr, mgr.bdd_and(f, g), 4), tf & tg);
       EXPECT_EQ(truth_table(mgr, mgr.bdd_or(f, g), 4), tf | tg);
       EXPECT_EQ(truth_table(mgr, mgr.bdd_xor(f, g), 4), (tf ^ tg) & 0xffffu);
-      EXPECT_EQ(truth_table(mgr, mgr.bdd_implies(f, g), 4), (~tf | tg) & 0xffffu);
       EXPECT_EQ(truth_table(mgr, mgr.bdd_iff(f, g), 4), ~(tf ^ tg) & 0xffffu);
       EXPECT_EQ(truth_table(mgr, mgr.bdd_diff(f, g), 4), tf & ~tg);
     }
@@ -100,36 +99,56 @@ TEST(BddManager, OperatorsMatchTruthTables) {
 }
 
 TEST(BddManager, Quantification) {
+  // Plain quantification is and_exists with g = true.
   BddManager mgr(4);
+  const auto exists = [&](Bdd f, const std::vector<std::uint32_t>& vars) {
+    return mgr.and_exists(f, kBddTrue, mgr.cube(vars));
+  };
   const Bdd f = mgr.bdd_or(mgr.bdd_and(mgr.var(0), mgr.var(1)),
                            mgr.bdd_and(mgr.var(2), mgr.var(3)));
   // exists x0 x1. f  =  true when (x2 & x3) | anything-for-x0x1: x0=x1=1
   // satisfies the first disjunct, so the quantified result is constant true.
-  EXPECT_EQ(mgr.exists(f, mgr.cube({0, 1})), kBddTrue);
-  // forall x0 x1. f  =  x2 & x3 (the first disjunct fails at x0=0).
-  EXPECT_EQ(mgr.forall(f, mgr.cube({0, 1})), mgr.bdd_and(mgr.var(2), mgr.var(3)));
+  EXPECT_EQ(exists(f, {0, 1}), kBddTrue);
+  // forall x0 x1. f  =  !exists x0 x1. !f  =  x2 & x3 (the first disjunct
+  // fails at x0=0).
+  EXPECT_EQ(mgr.bdd_not(exists(mgr.bdd_not(f), {0, 1})),
+            mgr.bdd_and(mgr.var(2), mgr.var(3)));
   // exists over an absent variable is the identity.
   const Bdd g = mgr.bdd_and(mgr.var(0), mgr.var(1));
-  EXPECT_EQ(mgr.exists(g, mgr.cube({3})), g);
+  EXPECT_EQ(exists(g, {3}), g);
   // exists distributes as or of cofactors: directly compare against
   // f[x2:=0] | f[x2:=1] computed by hand.
   const Bdd f0 = mgr.bdd_and(mgr.var(0), mgr.var(1));            // f with x2=0
   const Bdd f1 = mgr.bdd_or(f0, mgr.var(3));                     // f with x2=1
-  EXPECT_EQ(mgr.exists(f, mgr.cube({2})), mgr.bdd_or(f0, f1));
+  EXPECT_EQ(exists(f, {2}), mgr.bdd_or(f0, f1));
+  // Terminals: nothing to quantify.
+  EXPECT_EQ(exists(kBddTrue, {0, 1}), kBddTrue);
+  EXPECT_EQ(exists(kBddFalse, {0, 1}), kBddFalse);
 }
 
 TEST(BddManager, AndExistsMatchesComposition) {
+  // and_exists(f, g, cube) against exists cube. (f & g) computed on truth
+  // tables, over every pair of the pool (true included, so plain
+  // quantification and f = g are covered) and cubes of one, two and three
+  // variables.
   BddManager mgr(6);
-  // Random-ish pairs: and_exists(f, g, cube) == exists(f & g, cube).
-  std::vector<Bdd> pool = {
+  const std::vector<BddRef> pool = {
+      BddRef(mgr, kBddTrue),
       mgr.bdd_xor(mgr.var(0), mgr.var(3)),
       mgr.bdd_or(mgr.var(1), mgr.bdd_and(mgr.var(2), mgr.var(5))),
       mgr.bdd_and(mgr.bdd_not(mgr.var(4)), mgr.var(0)),
       mgr.bdd_iff(mgr.var(2), mgr.var(3))};
-  const Bdd cube = mgr.cube({1, 3, 5});
-  for (const Bdd f : pool)
-    for (const Bdd g : pool)
-      EXPECT_EQ(mgr.and_exists(f, g, cube), mgr.exists(mgr.bdd_and(f, g), cube));
+  const std::vector<std::vector<std::uint32_t>> cubes = {{5}, {0, 3}, {1, 3, 5}};
+  for (const auto& vars : cubes) {
+    const BddRef cube = mgr.cube(vars);
+    for (const Bdd f : pool)
+      for (const Bdd g : pool) {
+        std::uint64_t expected = truth_table(mgr, f, 6) & truth_table(mgr, g, 6);
+        for (const std::uint32_t v : vars) expected = testing::exists_table(expected, v);
+        EXPECT_EQ(truth_table(mgr, mgr.and_exists(f, g, cube), 6), expected)
+            << "f " << f << " g " << g << " cube of " << vars.size();
+      }
+  }
 }
 
 TEST(BddManager, RenameShiftsVariables) {
@@ -240,34 +259,6 @@ TEST(BddManager, ComputedCacheHits) {
   EXPECT_EQ(mgr.num_nodes(), nodes_before);
   EXPECT_GT(mgr.stats().cache_hits + mgr.stats().unique_hits,
             before.cache_hits + before.unique_hits);
-}
-
-TEST(BddManager, ReorderHookFiresOnGrowth) {
-  BddManager mgr(16);
-  std::vector<std::size_t> observed;
-  mgr.set_reorder_hook(
-      [&](BddManager&, std::size_t live) { observed.push_back(live); },
-      /*threshold=*/64);
-  // Build something with plenty of distinct nodes: a parity chain plus
-  // scattered conjunctions.
-  Bdd parity = kBddFalse;
-  for (std::uint32_t v = 0; v < 16; ++v) parity = mgr.bdd_xor(parity, mgr.var(v));
-  Bdd mixed = kBddTrue;
-  for (std::uint32_t v = 0; v + 1 < 16; ++v)
-    mixed = mgr.bdd_and(mixed, mgr.bdd_or(mgr.var(v), mgr.bdd_not(mgr.var(v + 1))));
-  EXPECT_FALSE(observed.empty());
-  EXPECT_GE(observed.front(), 64u);
-  EXPECT_EQ(mgr.stats().reorder_hook_calls, observed.size());
-  // Threshold doubling: consecutive firings see strictly growing counts.
-  for (std::size_t i = 1; i < observed.size(); ++i)
-    EXPECT_GT(observed[i], observed[i - 1]);
-  // Detaching stops further firings.
-  mgr.set_reorder_hook(nullptr);
-  const std::size_t calls = mgr.stats().reorder_hook_calls;
-  Bdd more = kBddFalse;
-  for (std::uint32_t v = 0; v < 16; ++v)
-    more = mgr.bdd_or(more, mgr.bdd_and(mgr.var(v), parity));
-  EXPECT_EQ(mgr.stats().reorder_hook_calls, calls);
 }
 
 TEST(BddManager, NewVarExtendsUniverse) {

@@ -259,10 +259,9 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
       auto mgr = std::make_shared<BddManager>(num_bdd_vars);
       if (variant != 0)  // scrambled order (alone, then with sifting on top)
         mgr->set_initial_order(scrambled_pair_order(num_bdd_vars, 41u * r + variant));
-      SymbolicRingOptions options;
-      options.dynamic_reordering = variant != 1;
-      options.reorder_threshold = r >= 16 ? 4096 : 256;
-      const SymbolicRing sym = build_symbolic_ring(r, mgr, reg, options);
+      const bool sift = variant != 1;
+      const SymbolicRing sym = build_symbolic_ring(r, mgr, reg);
+      if (sift) mgr->enable_dynamic_reordering(r >= 16 ? 4096 : 256);
       CtlChecker symbolic_checker(sym.system);
 
       for (const auto& [name, f] : testing::section_five_properties())
@@ -286,7 +285,7 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
                   SatCount::make(expected.count()))
             << "r=" << r << " variant=" << variant << " " << logic::to_string(f);
       }
-      if (options.dynamic_reordering) {
+      if (sift) {
         EXPECT_GE(mgr->stats().sift_passes, 1u)
             << "r=" << r << " variant=" << variant
             << ": the sift trigger never fired, so this leg proved nothing";

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "symbolic/bdd.hpp"
 
 namespace ictl::symbolic {
@@ -36,17 +37,7 @@ std::uint64_t var_table(std::uint32_t v) {
   return table;
 }
 
-/// Shadow table of "exists v. f" (6-variable universe).
-std::uint64_t exists_table(std::uint64_t t, std::uint32_t v) {
-  std::uint64_t table = 0;
-  for (std::uint32_t a = 0; a < 64; ++a) {
-    const std::uint32_t lo = a & ~(1u << v);
-    const std::uint32_t hi = a | (1u << v);
-    if (((t >> lo) & 1u) != 0 || ((t >> hi) & 1u) != 0)
-      table |= std::uint64_t{1} << a;
-  }
-  return table;
-}
+using ictl::testing::exists_table;
 
 class Rng {
  public:
@@ -288,7 +279,8 @@ TEST(GcStress, RandomizedOpsSweepsAndReordersPreserveSemantics) {
         case 5: {
           const auto v = static_cast<std::uint32_t>(rng.below(6));
           const auto& [fa, ta] = pick();
-          pool.emplace_back(mgr.exists(fa, mgr.cube({v})), exists_table(ta, v));
+          pool.emplace_back(mgr.and_exists(fa, kBddTrue, mgr.cube({v})),
+                            exists_table(ta, v));
           break;
         }
         default:  // drop a root (never below the seed variables)
@@ -300,8 +292,7 @@ TEST(GcStress, RandomizedOpsSweepsAndReordersPreserveSemantics) {
         audit("sweep", step);
       }
       if (step % 80 == 79) {
-        static_cast<void>(
-            mgr.reorder_now(BddManager::ReorderOptions(1.5, /*pairs=*/false)));
+        static_cast<void>(mgr.reorder_now());
         audit("reorder", step);
       }
     }

@@ -111,12 +111,10 @@ TEST(PairPreImage, RejectsSeparatedPairsAndPrimedSets) {
 TEST(ReachablePreImage, EqualsReachAndPreImageOnRings) {
   for (std::uint32_t r = 2; r <= 16; ++r) {
     for (const bool sift : {false, true}) {
-      SymbolicRingOptions options;
-      options.dynamic_reordering = sift;
-      options.reorder_threshold = 256;
-      const SymbolicRing ring = build_symbolic_ring(r, nullptr, nullptr, options);
+      const SymbolicRing ring = build_symbolic_ring(r);
       const TransitionSystem& ts = *ring.system;
       BddManager& mgr = ts.manager();
+      if (sift) mgr.enable_dynamic_reordering(256);
       const BddRef reach(mgr, ts.reachable());
       // The props, the reachable set, and a backward chain from each prop:
       // the sets an EU or EG round pre-images.

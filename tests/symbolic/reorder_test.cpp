@@ -1,14 +1,17 @@
 // Dynamic variable reordering: the adjacent-level swap primitive (node
 // counts conserved, canonicity preserved, every handle keeps its function),
-// Rudell sifting with the max-growth bound, pair-group sifting under the
-// unprimed/primed interleaving, the centralized epoch invalidation of the
-// computed cache on reorders (the stale-hit regression), and the
-// randomized-initial-order differential: rings built under scrambled
-// pair-block orders, sifting forced on and off, must report exactly the
-// counts and Section 5 verdicts of the default order.
+// Rudell sifting of (2k, 2k+1) pair blocks with the max-growth bound, the
+// growth trigger (and what it does once a swap has separated a pair), the
+// centralized epoch invalidation of the computed cache on reorders (the
+// stale-hit regression), and the randomized-initial-order differential:
+// rings built under scrambled pair-block orders, sifting forced on and
+// off, must report exactly the counts and Section 5 verdicts of the
+// default order.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -86,37 +89,41 @@ TEST(AdjacentSwap, SymmetricFunctionSizeIsOrderInvariant) {
 }
 
 TEST(Sifting, RecoversFromAdversarialOrder) {
-  // f = (x0 & x1) | (x2 & x3) | ... is linear when partners are adjacent
-  // and exponential when all low halves precede all high halves.  Sifting
-  // from the bad order must find a (near-)linear one.
-  constexpr std::uint32_t kPairs = 6;
-  BddManager mgr(2 * kPairs);
+  // Over the unprimed variable x_b = 2b of each pair block b,
+  // f = (x_0 & x_1) | (x_2 & x_3) | ... is linear when partner blocks are
+  // adjacent and exponential when all low halves precede all high halves.
+  // Sifting the blocks from the bad order must find a (near-)linear one.
+  constexpr std::uint32_t kTerms = 6;
+  BddManager mgr(4 * kTerms);
   std::vector<std::uint32_t> bad_order;
-  for (std::uint32_t p = 0; p < kPairs; ++p) bad_order.push_back(2 * p);
-  for (std::uint32_t p = 0; p < kPairs; ++p) bad_order.push_back(2 * p + 1);
+  for (const std::uint32_t half : {0u, 1u})
+    for (std::uint32_t p = 0; p < kTerms; ++p) {
+      const std::uint32_t block = 2 * p + half;
+      bad_order.push_back(2 * block);
+      bad_order.push_back(2 * block + 1);
+    }
   mgr.set_initial_order(bad_order);
+  const auto term = [&](std::uint32_t p) {
+    return mgr.bdd_and(mgr.var(4 * p), mgr.var(4 * p + 2));
+  };
 
   // f must be rooted: reorder_now sweeps dead nodes before sifting, so an
   // unrooted handle would be retired out from under the test.
   BddRef f(mgr, kBddFalse);
-  for (std::uint32_t p = 0; p < kPairs; ++p)
-    f = mgr.bdd_or(f, mgr.bdd_and(mgr.var(2 * p), mgr.var(2 * p + 1)));
+  for (std::uint32_t p = 0; p < kTerms; ++p) f = mgr.bdd_or(f, term(p));
   const std::size_t before = mgr.dag_size(f);
-  ASSERT_GE(before, (std::size_t{1} << kPairs) - 2);  // exponential start
+  ASSERT_GE(before, (std::size_t{1} << kTerms) - 2);  // exponential start
 
-  BddManager::ReorderOptions opts;
-  opts.group_pairs = false;  // plain single-variable sifting
-  const std::size_t live_after = mgr.reorder_now(opts);
+  const std::size_t live_after = mgr.reorder_now();
   ASSERT_TRUE(mgr.check_invariants());
-  EXPECT_LE(mgr.dag_size(f), 3 * kPairs);  // linear-sized order found
+  EXPECT_LE(mgr.dag_size(f), 3 * kTerms);  // linear-sized order found
   EXPECT_EQ(live_after, mgr.live_nodes());
   EXPECT_EQ(mgr.stats().sift_passes, 1u);
   EXPECT_GT(mgr.stats().sift_swaps, 0u);
-  EXPECT_EQ(mgr.reorder_count(), 1u);
+  EXPECT_TRUE(mgr.pairs_adjacent(2 * kTerms));
   // The function itself is untouched.
   Bdd expected = kBddFalse;
-  for (std::uint32_t p = 0; p < kPairs; ++p)
-    expected = mgr.bdd_or(expected, mgr.bdd_and(mgr.var(2 * p), mgr.var(2 * p + 1)));
+  for (std::uint32_t p = 0; p < kTerms; ++p) expected = mgr.bdd_or(expected, term(p));
   EXPECT_EQ(f, expected);
 }
 
@@ -131,7 +138,7 @@ TEST(Sifting, GroupSiftingKeepsPairBlocksIntact) {
     f = mgr.bdd_or(f, mgr.bdd_and(mgr.var(2 * p), mgr.var(2 * (p + 1))));
   const BddRef g = mgr.bdd_and(f, mgr.bdd_iff(mgr.var(1), mgr.var(11)));
   static_cast<void>(g.get());
-  mgr.reorder_now();  // group_pairs defaults to true
+  mgr.reorder_now();
   ASSERT_TRUE(mgr.check_invariants());
   for (std::uint32_t v = 0; v < kVars; v += 2)
     EXPECT_EQ(mgr.level_of_var(v + 1), mgr.level_of_var(v) + 1)
@@ -176,9 +183,11 @@ TEST(Reorder, ComputedCacheIsInvalidatedEpochStyle) {
   EXPECT_EQ(after, before);
   EXPECT_EQ(truth_table(mgr, f, 6), tf);
 
-  // reorder_now goes through the same centralized helper.
+  // reorder_now goes through the same centralized helper (on the restored
+  // order: sifting moves whole pairs only).
+  mgr.swap_adjacent_levels(1);
   const auto s3 = mgr.stats();
-  static_cast<void>(mgr.reorder_now(BddManager::ReorderOptions(1.2, false)));
+  static_cast<void>(mgr.reorder_now());
   EXPECT_EQ(mgr.stats().cache_invalidations, s3.cache_invalidations + 1);
 }
 
@@ -193,13 +202,88 @@ TEST(Reorder, DynamicReorderingTriggersSiftOnGrowth) {
   BddRef parity(mgr, kBddFalse);
   for (std::uint32_t v = 0; v < 16; ++v) parity = mgr.bdd_xor(parity, mgr.var(v));
   EXPECT_GE(mgr.stats().reorder_hook_calls, 1u);
-  EXPECT_GE(mgr.stats().sift_passes, 1u);
-  EXPECT_EQ(mgr.stats().sift_passes, mgr.reorder_count());
+  EXPECT_EQ(mgr.stats().sift_passes, mgr.stats().reorder_hook_calls);
   ASSERT_TRUE(mgr.check_invariants());
   // Everything still evaluates correctly after however many sifts fired.
   std::vector<bool> assignment(16, true);
   EXPECT_TRUE(mgr.eval(acc, assignment));
   EXPECT_FALSE(mgr.eval(parity, assignment));
+}
+
+TEST(Reorder, ArmedTriggerThrowsOnASeparatedPairUntilTheOrderIsRestored) {
+  // Sifting moves only (2k, 2k+1) pair blocks, and swap_adjacent_levels is
+  // the one way to separate a pair.  With the trigger armed, every
+  // operation that crosses the threshold then throws a typed Error from
+  // reorder_now after building its result; the manager stays audit-clean
+  // and every rooted function intact.  Once the order is restored, the
+  // next crossing sifts.
+  constexpr std::uint32_t kVars = 16;
+  BddManager mgr(kVars);
+  mgr.enable_dynamic_reordering(/*threshold=*/128);
+  mgr.swap_adjacent_levels(1);  // x2 above x1: pairs (0, 1) and (2, 3) apart
+  ASSERT_FALSE(mgr.pairs_adjacent(kVars / 2));
+
+  std::size_t throws = 0;
+  // Runs op until it returns.  A retry finds the nodes the failed attempt
+  // built in the unique table, so it crosses no threshold of its own.
+  const auto retry = [&](const auto& op) {
+    for (;;) {
+      try {
+        return op();
+      } catch (const Error& e) {
+        ++throws;
+        EXPECT_NE(std::string(e.what()).find("reorder_now"), std::string::npos) << e.what();
+      }
+    }
+  };
+  // q_k = XOR over v of (x_v & x_{v+k mod 16}): its BDD widens with the
+  // distance k, so building q_1, q_2, ... crosses one doubled threshold
+  // after another.
+  const auto q_holds = [&](std::uint32_t k, std::uint32_t bits) {
+    bool parity = false;
+    for (std::uint32_t v = 0; v < kVars; ++v)
+      parity ^= ((bits >> v) & (bits >> ((v + k) % kVars)) & 1u) != 0;
+    return parity;
+  };
+  std::vector<BddRef> q;  // q[k - 1] = q_k, rooted
+  const auto build = [&](std::uint32_t k) {
+    BddRef acc(mgr, kBddFalse);
+    for (std::uint32_t v = 0; v < kVars; ++v)
+      acc = retry([&] {
+        return mgr.bdd_xor(acc, mgr.bdd_and(mgr.var(v), mgr.var((v + k) % kVars)));
+      });
+    q.push_back(acc);
+  };
+  const auto expect_intact = [&](const char* when) {
+    const auto report = mgr.audit();
+    EXPECT_TRUE(report.ok()) << when << ":\n" << report.to_string();
+    std::vector<bool> assignment(kVars);
+    for (std::uint32_t bits = 0; bits < (1u << kVars); ++bits) {
+      for (std::uint32_t v = 0; v < kVars; ++v) assignment[v] = ((bits >> v) & 1u) != 0;
+      for (std::uint32_t k = 1; k <= q.size(); ++k)
+        ASSERT_EQ(mgr.eval(q[k - 1], assignment), q_holds(k, bits))
+            << when << ": q_" << k << " at " << bits;
+    }
+  };
+
+  for (std::uint32_t k = 1; k <= 4; ++k) build(k);
+  EXPECT_GE(throws, 1u);
+  EXPECT_EQ(mgr.stats().reorder_hook_calls, throws);
+  EXPECT_EQ(mgr.stats().sift_passes, 0u);
+  expect_intact("pair separated");
+
+  mgr.swap_adjacent_levels(1);
+  ASSERT_TRUE(mgr.pairs_adjacent(kVars / 2));
+  const std::size_t throws_while_separated = throws;
+  for (std::uint32_t k = 5; k <= 8; ++k) build(k);
+  EXPECT_EQ(throws, throws_while_separated);
+  EXPECT_GE(mgr.stats().sift_passes, 1u);
+  EXPECT_EQ(mgr.stats().reorder_hook_calls, throws + mgr.stats().sift_passes);
+  // The threshold doubles past the table at each firing, thrown or not.
+  EXPECT_LE(mgr.stats().reorder_hook_calls,
+            static_cast<std::size_t>(std::bit_width(mgr.num_nodes() / 128)));
+  EXPECT_TRUE(mgr.pairs_adjacent(kVars / 2));
+  expect_intact("order restored");
 }
 
 // ---- The randomized-order differential (satellite) --------------------------
@@ -241,12 +325,10 @@ TEST(RandomizedOrder, CountsAndVerdictsAreOrderInvariant) {
       const std::uint32_t num_bdd_vars = 2 * (2 * r + 1);
       auto mgr = std::make_shared<BddManager>(num_bdd_vars);
       mgr->set_initial_order(scrambled_pair_order(num_bdd_vars, seed));
-      SymbolicRingOptions options;
-      options.dynamic_reordering = sift;
+      const SymbolicRing ring = build_symbolic_ring(r, mgr, nullptr);
       // Low enough to fire for real at every size, high enough that the
       // larger rings don't spend the whole test resifting.
-      options.reorder_threshold = r <= 5 ? 128 : (r <= 8 ? 2048 : 8192);
-      const SymbolicRing ring = build_symbolic_ring(r, mgr, nullptr, options);
+      if (sift) mgr->enable_dynamic_reordering(r <= 5 ? 128 : (r <= 8 ? 2048 : 8192));
       CtlChecker checker(ring.system);
 
       EXPECT_EQ(ring.system->num_states(), want.reachable)
@@ -266,19 +348,17 @@ TEST(RandomizedOrder, CountsAndVerdictsAreOrderInvariant) {
 }
 
 TEST(Reorder, SharedManagerSecondBuildIsSafeFromInheritedHook) {
-  // Regression: a dynamic_reordering build leaves its growth hook on the
+  // Regression: the growth trigger armed after one build stays on the
   // manager; a LATER build on the same (supported-to-share) manager must
-  // not let that hook sift mid-chain-construction — the constraint-chain
+  // not let it sift mid-chain-construction — the constraint-chain
   // builders assume a frozen order, and an unlucky firing used to trip the
-  // order-invariant assertion.  build_symbolic_ring now runs the whole
-  // build under a protect_scope, which defers both reordering and GC until
-  // the system has rooted its parts.
+  // order-invariant assertion.  build_symbolic_ring runs the whole build
+  // under a protect_scope, which defers both reordering and GC until the
+  // system has rooted its parts.
   auto mgr = std::make_shared<BddManager>(2 * (2 * 24 + 1));
   auto reg = kripke::make_registry();
-  SymbolicRingOptions options;
-  options.dynamic_reordering = true;
-  options.reorder_threshold = 256;
-  const SymbolicRing first = build_symbolic_ring(6, mgr, reg, options);
+  const SymbolicRing first = build_symbolic_ring(6, mgr, reg);
+  mgr->enable_dynamic_reordering(256);
   EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));
   // The second build grows the table well past every doubled threshold, so
   // without the pause the inherited hook fires mid-build.

@@ -116,12 +116,9 @@ TEST(SaturationReach, MatchesTheFrontierLoopOnTheOnePartRelation) {
   for (std::uint32_t r = 2; r <= 16; ++r) {
     for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{r}}) {
       for (const bool sift : {false, true}) {
-        SymbolicRingOptions options;
-        options.dynamic_reordering = sift;
-        options.reorder_threshold = 256;
-        const SymbolicRing ring =
-            build_symbolic_ring(r, manager_for(r, seed), nullptr, options);
+        const SymbolicRing ring = build_symbolic_ring(r, manager_for(r, seed));
         const TransitionSystem& ts = *ring.system;
+        if (sift) ts.manager().enable_dynamic_reordering(256);
         const Bdd saturated = ts.reachable();
         const TransitionSystem one_part(ts.manager_ptr(), ts.num_state_vars(),
                                         ts.initial(), {ts.transitions()},

@@ -119,14 +119,10 @@ TEST_F(UnwindTest, ReorderFailpointThrowsBeforeEntry) {
   for (std::uint32_t v = 0; v < 6; ++v) parity = mgr.bdd_xor(parity, mgr.var(v));
 
   rt::arm_failpoint("bdd/reorder");
-  EXPECT_THROW(
-      static_cast<void>(
-          mgr.reorder_now(BddManager::ReorderOptions(1.5, /*pairs=*/false))),
-      Interrupted);
+  EXPECT_THROW(static_cast<void>(mgr.reorder_now()), Interrupted);
   ASSERT_TRUE(mgr.check_invariants());
   // The retry reorders; the rooted function is preserved.
-  static_cast<void>(
-      mgr.reorder_now(BddManager::ReorderOptions(1.5, /*pairs=*/false)));
+  static_cast<void>(mgr.reorder_now());
   ASSERT_TRUE(mgr.check_invariants());
   std::vector<bool> assignment(6, false);
   assignment[2] = true;
