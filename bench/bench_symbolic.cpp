@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -261,6 +262,41 @@ BENCHMARK(BM_SymbolicStoreLoadRing)
     ->Arg(64)
     ->Arg(128)
     ->Unit(benchmark::kMillisecond);
+
+void BM_SymbolicVerifyRotation(benchmark::State& state) {
+  // The rotation check a cold folding checker pays once per system: every
+  // iteration reloads the ring into a fresh manager and builds T & reach
+  // untimed, then times verified_rotation() — the labels, the reachable
+  // set and T & reach each renamed by π and compared by handle.  A false
+  // verdict is an error, not a number.
+  const auto r = static_cast<std::uint32_t>(state.range(0));
+  const auto ring = symbolic::build_symbolic_ring(r);
+  benchmark::DoNotOptimize(ring.system->num_states());
+  std::ostringstream out;
+  symbolic::save_transition_system(*ring.system, out);
+  const std::string blob = out.str();
+  std::optional<symbolic::TransitionSystem> loaded;
+  std::size_t nodes_added = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    loaded.reset();
+    std::istringstream in(blob);
+    loaded.emplace(symbolic::load_transition_system(in, ring.system->registry()));
+    benchmark::DoNotOptimize(loaded->reachable_transitions());
+    const std::size_t nodes = loaded->manager().num_nodes();
+    state.ResumeTiming();
+    const bool verified = loaded->verified_rotation();
+    benchmark::DoNotOptimize(verified);
+    if (!verified) {
+      state.SkipWithError("the ring rotation failed verification");
+      break;
+    }
+    nodes_added = loaded->manager().num_nodes() - nodes;
+  }
+  // Node slots the verification allocated on the reloaded manager.
+  state.counters["nodes_added"] = static_cast<double>(nodes_added);
+}
+BENCHMARK(BM_SymbolicVerifyRotation)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_SymbolicReachableWithAutoGc(benchmark::State& state) {
   // The full reachability pipeline with mark-and-sweep armed: transient

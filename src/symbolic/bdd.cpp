@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <tuple>
 
@@ -163,6 +164,10 @@ BddManager::BddManager(std::uint32_t num_vars) : num_vars_(num_vars) {
   std::iota(var2level_.begin(), var2level_.end(), 0u);
   std::iota(level2var_.begin(), level2var_.end(), 0u);
   var_live_count_.assign(num_vars_, 0);
+}
+
+BddManager::~BddManager() {
+  if (!cache_.empty()) swap_parked_cache(cache_);
 }
 
 std::uint32_t BddManager::new_var() {
@@ -552,6 +557,18 @@ std::size_t BddManager::garbage_collect() {
 
 // ---- Computed table ---------------------------------------------------------
 
+void BddManager::allocate_cache() {
+  swap_parked_cache(cache_);
+  cache_.assign(std::size_t{1} << kCacheLog2, CacheEntry{});
+}
+
+void BddManager::swap_parked_cache(std::vector<CacheEntry>& table) {
+  static std::mutex mutex;
+  static std::vector<CacheEntry> parked;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (table.empty() != parked.empty()) table.swap(parked);
+}
+
 std::size_t BddManager::cache_set(Op op, Bdd a, Bdd b, Bdd c) const {
   const std::uint64_t h =
       mix((static_cast<std::uint64_t>(a) << 32) ^ (static_cast<std::uint64_t>(b) << 8) ^
@@ -755,35 +772,131 @@ Bdd BddManager::pair_pre_image_rec(Bdd r, Bdd s) {
 
 // ---- Rename -----------------------------------------------------------------
 
+namespace {
+
+/// The widest block W rename's restriction path takes: each node carries
+/// 2^|W| restrictions, and the ring rotation needs four.
+constexpr std::size_t kMaxWrapped = 4;
+
+}  // namespace
+
 BddRef BddManager::rename(Bdd f, const std::vector<std::uint32_t>& map) {
   ICTL_ASSERT(f < nodes_.size());
-  // Epoch-stamped memo: bumping the epoch invalidates every entry in O(1),
-  // so each call pays only for the nodes it actually visits — rename sits
-  // on every image computation of every fixpoint iteration, where a
-  // freshly zero-filled O(total nodes) vector per call would dominate.
-  // (invalidate_operation_caches also bumps this epoch on reorders/sweeps.)
-  ++rename_epoch_;
-  if (rename_stamp_.size() < nodes_.size()) {
-    rename_stamp_.resize(nodes_.size(), 0);
-    rename_val_.resize(nodes_.size(), kBddFalse);
+  // The map need only cover f's support (a system built before its shared
+  // manager grew still renames its own sets), so that is what is checked.
+  std::vector<std::uint32_t> vars;
+  const std::vector<Bdd> nodes = walk_dag({&f, 1}, vars);
+  for (const std::uint32_t v : vars) {
+    if (v >= map.size())
+      throw Error("BddManager::rename: the map has no entry for support variable " +
+                  std::to_string(v));
+    if (map[v] >= num_vars_)
+      throw Error("BddManager::rename: the map sends variable " + std::to_string(v) + " to " +
+                  std::to_string(map[v]) + ", past the manager's " +
+                  std::to_string(num_vars_) + " variables");
   }
-  ensure_cache();  // a map that breaks the order runs ite_rec
-  BddRef result(*this, rename_rec(f, map));
+  if (rename_val_.size() < rename_stamp_.size())
+    rename_val_.resize(rename_stamp_.size(), kBddFalse);
+  const std::optional<std::vector<std::uint32_t>> wrapped = wrapped_block(std::move(vars), map);
+  Bdd renamed = kBddFalse;
+  if (wrapped.has_value()) {
+    renamed = rename_wrapped(f, nodes, *wrapped, map);
+  } else {
+    // The walk left a fresh epoch behind, so the memo starts empty: each
+    // call pays only for the nodes it visits, never an O(total nodes)
+    // clear.  (invalidate_operation_caches also bumps this epoch.)
+    ensure_cache();  // a map that breaks the order runs ite_rec
+    renamed = rename_rec(f, map);
+  }
+  BddRef result(*this, renamed);
   run_deferred_maintenance();
   return result;
+}
+
+std::optional<std::vector<std::uint32_t>> BddManager::wrapped_block(
+    std::vector<std::uint32_t> support, const std::vector<std::uint32_t>& map) const {
+  const auto image = [&](std::uint32_t v) { return var2level_[map[v]]; };
+  std::sort(support.begin(), support.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return var2level_[a] < var2level_[b];
+  });
+  // W, if any, is the k variables with the lowest images for the least k
+  // that leaves the other images strictly increasing down the order.
+  std::array<std::uint32_t, kMaxWrapped + 1> lowest{};
+  const std::size_t candidates = std::min(support.size(), lowest.size());
+  std::partial_sort_copy(support.begin(), support.end(), lowest.begin(),
+                         lowest.begin() + static_cast<std::ptrdiff_t>(candidates),
+                         [&](std::uint32_t a, std::uint32_t b) { return image(a) < image(b); });
+  for (std::size_t k = 0; k <= std::min(candidates, kMaxWrapped); ++k) {
+    const std::uint32_t floor = k < candidates ? image(lowest[k]) : kTerminalLevel;
+    // Two equal images among W and the first image past it: the map is
+    // not injective on the support, for this k and every larger one.
+    if (k > 0 && image(lowest[k - 1]) >= floor) return std::nullopt;
+    bool ordered = true;
+    std::int64_t last = -1;
+    for (const std::uint32_t v : support) {
+      const std::uint32_t y = image(v);
+      if (y < floor) continue;  // in W
+      ordered = ordered && y > last;
+      last = y;
+    }
+    if (ordered) return std::vector<std::uint32_t>(lowest.begin(), lowest.begin() + k);
+  }
+  return std::nullopt;
+}
+
+Bdd BddManager::rename_wrapped(Bdd f, const std::vector<Bdd>& nodes,
+                               const std::vector<std::uint32_t>& wrapped,
+                               const std::vector<std::uint32_t>& map) {
+  // rows[j << k | a] is row j's renamed restriction to W = a, bit b of a
+  // giving wrapped[b]'s value.  Rows 0 and 1 are the terminals; node
+  // nodes[i] owns row i + 2, found through rename_val_ under no current
+  // stamp (no memo entry), since the walk's epoch is already retired.
+  const std::size_t k = wrapped.size();
+  const std::size_t width = std::size_t{1} << k;
+  std::vector<Bdd> rows((nodes.size() + 2) << k, kBddFalse);
+  std::fill_n(rows.begin() + static_cast<std::ptrdiff_t>(width), width, kBddTrue);
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    rename_val_[nodes[i]] = static_cast<Bdd>(i + 2);
+  const auto row = [&](Bdd x) {
+    return rows.data() + (std::size_t{is_terminal(x) ? x : rename_val_[x]} << k);
+  };
+  // Children first, so every child's row is complete.  Below a W node the
+  // restriction picks a branch; elsewhere the map keeps the order, so the
+  // renamed node is one mk per restriction, every one a node of the result.
+  for (const Bdd x : nodes) {
+    const Node n = nodes_[x];  // copy: mk() below may reallocate nodes_
+    const Bdd* lo = row(n.low);
+    const Bdd* hi = row(n.high);
+    Bdd* out = row(x);
+    const auto at = std::find(wrapped.begin(), wrapped.end(), n.var);
+    if (at != wrapped.end()) {
+      const std::size_t bit = std::size_t{1} << (at - wrapped.begin());
+      for (std::size_t a = 0; a < width; ++a) out[a] = (a & bit) != 0 ? hi[a] : lo[a];
+    } else {
+      const std::uint32_t v = map[n.var];
+      for (std::size_t a = 0; a < width; ++a) out[a] = mk(v, lo[a], hi[a]);
+    }
+  }
+  // Stack W's images on top of f's row, the deepest first: a decision
+  // tree over them whose leaves are the restrictions, reduced by mk.
+  Bdd* top = row(f);
+  std::size_t stacked = 0;
+  for (std::size_t b = k; b-- > 0;) {
+    const std::size_t bit = std::size_t{1} << b;
+    for (std::size_t a = 0; a < width; ++a)
+      if ((a & (stacked | bit)) == 0) top[a] = mk(map[wrapped[b]], top[a], top[a | bit]);
+    stacked |= bit;
+  }
+  return top[0];
 }
 
 Bdd BddManager::rename_rec(Bdd f, const std::vector<std::uint32_t>& map) {
   if (is_terminal(f)) return f;
   if (rename_stamp_[f] == rename_epoch_) return rename_val_[f];
   const Node n = nodes_[f];  // copy: mk() below may reallocate nodes_
-  // The map need only cover f's support (a system built before its shared
-  // manager grew still renames its own sets).
-  ICTL_ASSERT(n.var < map.size());
   const Bdd lo = rename_rec(n.low, map);
   const Bdd hi = rename_rec(n.high, map);
   const std::uint32_t v = map[n.var];
-  ICTL_ASSERT(v < num_vars_);
   // Order kept at this node: rebuild it directly.  Otherwise the renamed
   // variable lies below part of a child's cone, and an ITE on its literal
   // sinks it into place (ite_rec, not the public ite — no maintenance may
@@ -1092,26 +1205,44 @@ SatCount BddManager::sat_count_exact_rec(Bdd f, std::vector<SatCount>& memo,
   return result;
 }
 
+std::vector<Bdd> BddManager::walk_dag(std::span<const Bdd> roots,
+                                      std::vector<std::uint32_t>& support) const {
+  if (rename_stamp_.size() < nodes_.size()) rename_stamp_.resize(nodes_.size(), 0);
+  if (var_stamp_.size() < num_vars_) var_stamp_.resize(num_vars_, 0);
+  const std::uint64_t mark = ++rename_epoch_;
+  std::vector<Bdd> order;
+  std::vector<Bdd> path;  // a root-to-node path: a marked child is finished
+  const auto enter = [&](Bdd x) {
+    if (is_terminal(x) || rename_stamp_[x] == mark) return false;
+    rename_stamp_[x] = mark;
+    path.push_back(x);
+    return true;
+  };
+  for (const Bdd root : roots) {
+    ICTL_ASSERT(root < nodes_.size());
+    enter(root);
+    while (!path.empty()) {
+      const Node& n = nodes_[path.back()];
+      if (enter(n.low) || enter(n.high)) continue;
+      if (var_stamp_[n.var] != mark) {
+        var_stamp_[n.var] = mark;
+        support.push_back(n.var);
+      }
+      order.push_back(path.back());
+      path.pop_back();
+    }
+  }
+  // The marks are visit flags, not memo entries: retire their epoch, so
+  // the memo is empty under the current one.
+  ++rename_epoch_;
+  return order;
+}
+
 std::size_t BddManager::dag_size(Bdd f) const { return dag_size(std::vector<Bdd>{f}); }
 
 std::size_t BddManager::dag_size(const std::vector<Bdd>& roots) const {
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<Bdd> stack;
-  std::size_t count = 0;
-  for (const Bdd root : roots) {
-    ICTL_ASSERT(root < nodes_.size());
-    stack.push_back(root);
-  }
-  while (!stack.empty()) {
-    const Bdd x = stack.back();
-    stack.pop_back();
-    if (is_terminal(x) || seen[x]) continue;
-    seen[x] = true;
-    ++count;
-    stack.push_back(nodes_[x].low);
-    stack.push_back(nodes_[x].high);
-  }
-  return count;
+  std::vector<std::uint32_t> vars;
+  return walk_dag(roots, vars).size();
 }
 
 std::vector<std::uint32_t> BddManager::support_vars(Bdd f) const {
@@ -1119,26 +1250,10 @@ std::vector<std::uint32_t> BddManager::support_vars(Bdd f) const {
 }
 
 std::vector<std::uint32_t> BddManager::support_vars(const std::vector<Bdd>& roots) const {
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<bool> in_support(num_vars_, false);
-  std::vector<Bdd> stack;
-  for (const Bdd root : roots) {
-    ICTL_ASSERT(root < nodes_.size());
-    stack.push_back(root);
-  }
-  while (!stack.empty()) {
-    const Bdd x = stack.back();
-    stack.pop_back();
-    if (is_terminal(x) || seen[x]) continue;
-    seen[x] = true;
-    in_support[nodes_[x].var] = true;
-    stack.push_back(nodes_[x].low);
-    stack.push_back(nodes_[x].high);
-  }
-  std::vector<std::uint32_t> result;
-  for (std::uint32_t v = 0; v < num_vars_; ++v)
-    if (in_support[v]) result.push_back(v);
-  return result;
+  std::vector<std::uint32_t> vars;
+  static_cast<void>(walk_dag(roots, vars));
+  std::sort(vars.begin(), vars.end());
+  return vars;
 }
 
 std::uint32_t BddManager::node_var(Bdd f) const {

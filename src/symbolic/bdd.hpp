@@ -37,7 +37,9 @@
 //     reorder pass retires them.
 //   * The computed cache and the rename memo are invalidated epoch-style in
 //     one centralized helper whenever the order changes or a sweep retires
-//     nodes: a retired handle must never come back out of a cache.
+//     nodes: a retired handle must never come back out of a cache.  The
+//     memo's stamps also mark the nodes a walk (support, DAG size, rename's
+//     support pass) has visited, so a walk costs the nodes it visits.
 //   * Quantification is one recursion, the fused relational product
 //     `and_exists` over a positive cube (conjunction of variables): plain
 //     existential quantification is and_exists(f, kBddTrue, cube).
@@ -51,6 +53,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,6 +104,11 @@ class BddManager {
   /// new_var).  The computed-table cache holds 2^18 entries (2-way
   /// set-associative with aging, lossy — bounded memory however long a run).
   explicit BddManager(std::uint32_t num_vars = 0);
+  /// Parks the computed table for the next manager to reuse (one table per
+  /// process, freed at exit) instead of freeing it; see allocate_cache.
+  ~BddManager();
+  BddManager(const BddManager&) = delete;
+  BddManager& operator=(const BddManager&) = delete;
 
   /// Appends a variable at the bottom of the order; returns its index.
   std::uint32_t new_var();
@@ -176,11 +185,23 @@ class BddManager {
   /// Renames variable v to `map[v]` for every v in the support of f: the
   /// result is f with each x_v read as x_map[v].  Any map is accepted, a
   /// permutation that does not preserve the order included (the ring
-  /// rotation wraps the last process onto the first).  At a node where the
-  /// map keeps the order under the CURRENT level assignment — the renamed
-  /// variable still above both renamed children — the node costs one mk,
-  /// as for the prime/unprime maps; elsewhere it costs an ITE on the renamed
-  /// variable's literal.
+  /// rotation wraps the last process onto the first).  One walk collects
+  /// f's support first; a map with no entry for a support variable, or one
+  /// that sends it past num_vars(), throws Error before any node is built.
+  /// The cost depends on the map's shape on that support under the CURRENT
+  /// level assignment:
+  ///   * injective, and order-keeping except at a block W of at most four
+  ///     variables whose images all land above every other image — the
+  ///     prime/unprime maps (W empty) and the ring rotation under the
+  ///     canonical order (W = the last process's (d, d', h, h')): one pass
+  ///     builds each node's 2^|W| renamed restrictions f|W=a with mk
+  ///     alone, then stacks W's images on top.  No ITE runs, and every node
+  ///     built is a node of the result, so a map that fixes f allocates
+  ///     no node;
+  ///   * any other map (a sifted or scrambled order, a merge of two
+  ///     variables, a wider wrap): one mk per node where the renamed
+  ///     variable still lies above both renamed children, and an ITE on its
+  ///     literal wherever the order breaks.
   [[nodiscard]] BddRef rename(Bdd f, const std::vector<std::uint32_t>& map);
 
   // ---- Liveness ------------------------------------------------------------
@@ -240,7 +261,8 @@ class BddManager {
   [[nodiscard]] std::size_t dag_size(const std::vector<Bdd>& roots) const;
 
   /// Variables occurring in f, ascending by variable index; the multi-root
-  /// overload returns the union over one walk of the shared DAG.
+  /// overload returns the union over one walk of the shared DAG.  Costs
+  /// O(nodes walked + support log support), whatever the table's size.
   [[nodiscard]] std::vector<std::uint32_t> support_vars(Bdd f) const;
   [[nodiscard]] std::vector<std::uint32_t> support_vars(const std::vector<Bdd>& roots) const;
 
@@ -452,6 +474,22 @@ class BddManager {
   Bdd ite_rec(Bdd f, Bdd g, Bdd h);
   Bdd and_exists_rec(Bdd f, Bdd g, Bdd cube);
   Bdd pair_pre_image_rec(Bdd relation, Bdd set);
+  /// The nodes under `roots` (shared ones once), children before parents,
+  /// with the variables they test appended to `support` once each.  Costs
+  /// O(nodes walked): visits are marked with rename-memo stamps under a
+  /// fresh epoch, which the walk retires again before it returns.
+  std::vector<Bdd> walk_dag(std::span<const Bdd> roots,
+                            std::vector<std::uint32_t>& support) const;
+  /// The block W of rename's fast path for `map` on a support (see
+  /// rename), ascending by its images' levels; nullopt when the map does
+  /// not have that shape.
+  [[nodiscard]] std::optional<std::vector<std::uint32_t>> wrapped_block(
+      std::vector<std::uint32_t> support, const std::vector<std::uint32_t>& map) const;
+  /// rename's fast path over f's `nodes` from walk_dag and the block
+  /// `wrapped` from wrapped_block.
+  Bdd rename_wrapped(Bdd f, const std::vector<Bdd>& nodes,
+                     const std::vector<std::uint32_t>& wrapped,
+                     const std::vector<std::uint32_t>& map);
   Bdd rename_rec(Bdd f, const std::vector<std::uint32_t>& map);
   SatCount sat_count_exact_rec(Bdd f, std::vector<SatCount>& memo,
                                std::vector<char>& seen) const;
@@ -492,8 +530,19 @@ class BddManager {
   /// it: a manager that only loads or builds nodes through make_node (a
   /// store reload) never pays for faulting in 2^kCacheLog2 entries.
   void ensure_cache() {
-    if (cache_.empty()) cache_.assign(std::size_t{1} << kCacheLog2, CacheEntry{});
+    if (cache_.empty()) allocate_cache();
   }
+  /// Takes the table a destroyed manager parked, if there is one, and
+  /// clears it.  Cold managers often run one after another (a checker per
+  /// query), and a freed table stays in glibc's heap once the first one
+  /// freed has raised the dynamic mmap threshold past its 7.3 MB; the
+  /// next manager's node tables then split its hole and its own table
+  /// lands above them, growing the heap by up to that much.  One parked
+  /// block keeps the peak resident set flat.
+  void allocate_cache();
+  /// Moves `table` into the process's parking slot when the slot is empty,
+  /// or the parked table into `table` when `table` is empty.
+  static void swap_parked_cache(std::vector<CacheEntry>& table);
 
   std::vector<CacheEntry> cache_;  // empty until ensure_cache()
   std::uint32_t cache_epoch_ = 1;
@@ -516,10 +565,13 @@ class BddManager {
 
   // Epoch-stamped rename memo (per-manager, grown lazily): avoids the
   // O(total nodes) zero-fill a per-call memo vector would cost on every
-  // image computation.
-  std::uint64_t rename_epoch_ = 0;
-  std::vector<std::uint64_t> rename_stamp_;
+  // image computation.  The stamps double as walk_dag's visit marks, and
+  // var_stamp_ as its support marks (mutable: the const walks stamp them
+  // too, under an epoch no memo entry carries).
+  mutable std::uint64_t rename_epoch_ = 0;
+  mutable std::vector<std::uint64_t> rename_stamp_;
   std::vector<Bdd> rename_val_;
+  mutable std::vector<std::uint64_t> var_stamp_;
 };
 
 /// RAII external root reference to a BDD node.  Ownership rules:

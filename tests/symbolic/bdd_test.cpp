@@ -4,9 +4,12 @@
 // evaluation over small variable counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -163,6 +166,195 @@ TEST(BddManager, RenameShiftsVariables) {
   // Renaming back round-trips.
   std::vector<std::uint32_t> back = {0, 0, 2, 2, 4, 4};
   EXPECT_EQ(mgr.rename(renamed, back), f);
+}
+
+TEST(BddManager, RenameRejectsAMapWithoutAnEntryForASupportVariable) {
+  BddManager mgr(6);
+  const BddRef f = mgr.bdd_and(mgr.var(0), mgr.var(4));
+  const std::size_t nodes = mgr.num_nodes();
+  // Entries for variables 0..2 only: variable 4 is in the support.
+  EXPECT_THROW(static_cast<void>(mgr.rename(f, {1, 0, 2})), Error);
+  EXPECT_EQ(mgr.num_nodes(), nodes);
+  EXPECT_TRUE(mgr.audit(BddManager::AuditLevel::kFull).ok());
+  // A map covering the support is enough, however short.
+  EXPECT_EQ(mgr.rename(f, {1, 1, 2, 3, 5}).get(), mgr.bdd_and(mgr.var(1), mgr.var(5)).get());
+}
+
+TEST(BddManager, RenameRejectsAnImagePastTheManagersVariables) {
+  BddManager mgr(6);
+  const BddRef f = mgr.bdd_or(mgr.var(1), mgr.var(3));
+  const std::size_t nodes = mgr.num_nodes();
+  EXPECT_THROW(static_cast<void>(mgr.rename(f, {0, 1, 2, 6, 4, 5})), Error);
+  EXPECT_EQ(mgr.num_nodes(), nodes);
+  EXPECT_TRUE(mgr.audit(BddManager::AuditLevel::kFull).ok());
+}
+
+/// The BDD of a truth table over variables 0..5, built under any order.
+BddRef from_table(BddManager& mgr, std::uint64_t table) {
+  BddRef f(mgr, kBddFalse);
+  for (std::uint32_t a = 0; a < 64; ++a) {
+    if (((table >> a) & 1u) == 0) continue;
+    BddRef minterm(mgr, kBddTrue);
+    for (std::uint32_t v = 0; v < 6; ++v)
+      minterm = mgr.bdd_and(minterm, ((a >> v) & 1u) != 0 ? mgr.var(v) : mgr.nvar(v));
+    f = mgr.bdd_or(f, minterm);
+  }
+  return f;
+}
+
+/// The oracle: f with each x_v read as x_map[v], on truth tables over 6
+/// variables (the map need only cover f's support).
+std::uint64_t renamed_table(std::uint64_t table, const std::vector<std::uint32_t>& map) {
+  std::uint64_t out = 0;
+  for (std::uint32_t a = 0; a < 64; ++a) {
+    std::uint32_t read = 0;
+    for (std::uint32_t v = 0; v < map.size() && v < 6; ++v)
+      read |= ((a >> map[v]) & 1u) << v;
+    if (((table >> read) & 1u) != 0) out |= std::uint64_t{1} << a;
+  }
+  return out;
+}
+
+/// Truth tables over variables 0..5: the two constants, full-support ones
+/// (parity, which every rotation fixes, and a random sample), and a few
+/// over part of the variables.
+std::vector<std::uint64_t> rename_pool() {
+  std::vector<std::uint64_t> tables = {0, ~std::uint64_t{0}};
+  std::uint64_t parity = 0;
+  for (std::uint32_t a = 0; a < 64; ++a)
+    if (std::popcount(a) % 2 == 1) parity |= std::uint64_t{1} << a;
+  tables.push_back(parity);
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;  // xorshift64
+  for (int i = 0; i < 24; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    tables.push_back(x);
+  }
+  BddManager scratch(6);
+  for (const Bdd f : {scratch.var(5).get(), scratch.bdd_and(scratch.var(0), scratch.var(5)).get(),
+                      scratch.bdd_xor(scratch.var(1), scratch.var(4)).get(),
+                      scratch.bdd_or(scratch.var(2), scratch.bdd_and(scratch.var(3),
+                                                                     scratch.var(4))).get()})
+    tables.push_back(truth_table(scratch, f, 6));
+  return tables;
+}
+
+/// Map v -> v + k on the top 6 - k levels and the bottom k levels wrapped
+/// onto the top, over the variables at levels 0..5 of `mgr`'s order.
+std::vector<std::uint32_t> level_rotation(const BddManager& mgr, std::uint32_t k) {
+  std::vector<std::uint32_t> map(mgr.num_vars());
+  for (std::uint32_t v = 0; v < map.size(); ++v) map[v] = v;
+  for (std::uint32_t l = 0; l < 6; ++l) map[mgr.var_at_level(l)] = mgr.var_at_level((l + k) % 6);
+  return map;
+}
+
+/// Renames every pool function by `map` and checks the result against the
+/// permuted truth table, with the manager audit-clean afterwards.  When
+/// `restricting` (the map has rename's block-wrap shape), also checks
+/// that every node the rename built is a node of the result, and that a
+/// function the map fixes comes back with no node built.
+void expect_renames_match_the_oracle(BddManager& mgr, const std::vector<std::uint32_t>& map,
+                                     bool restricting) {
+  for (const std::uint64_t table : rename_pool()) {
+    const BddRef f = from_table(mgr, table);
+    const std::size_t before = mgr.num_nodes();
+    const BddRef g = mgr.rename(f, map);
+    EXPECT_EQ(truth_table(mgr, g, 6), renamed_table(table, map)) << "table " << table;
+    if (restricting) {
+      EXPECT_LE(mgr.num_nodes() - before, mgr.dag_size(g)) << "table " << table;
+      if (g.get() == f.get()) {
+        EXPECT_EQ(mgr.num_nodes(), before) << "table " << table;
+      }
+    }
+  }
+  EXPECT_TRUE(mgr.audit(BddManager::AuditLevel::kFull).ok());
+}
+
+TEST(RenameDifferential, BlockRotationsWrappingOneToFourLevels) {
+  for (std::uint32_t k = 1; k <= 4; ++k) {
+    SCOPED_TRACE("wrap of " + std::to_string(k));
+    BddManager mgr(6);
+    expect_renames_match_the_oracle(mgr, level_rotation(mgr, k), /*restricting=*/true);
+  }
+}
+
+TEST(RenameDifferential, AFiveLevelWrapTakesTheIteRecursion) {
+  BddManager mgr(6);
+  expect_renames_match_the_oracle(mgr, level_rotation(mgr, 5), /*restricting=*/false);
+}
+
+TEST(RenameDifferential, MapsThatMergeTheVariablesOfAPair) {
+  // RenameShiftsVariables' pattern, now applied to functions over both
+  // variables of a pair: not injective on the support.
+  BddManager mgr(6);
+  expect_renames_match_the_oracle(mgr, {1, 1, 3, 3, 5, 5}, /*restricting=*/false);
+  expect_renames_match_the_oracle(mgr, {0, 0, 2, 2, 4, 4}, /*restricting=*/false);
+}
+
+TEST(RenameDifferential, AMapShorterThanTheManagerCoversItsSupport) {
+  BddManager mgr(9);
+  expect_renames_match_the_oracle(mgr, {4, 5, 0, 1, 2, 3}, /*restricting=*/true);
+  expect_renames_match_the_oracle(mgr, {5, 4, 3, 2, 1, 0}, /*restricting=*/false);
+}
+
+TEST(RenameDifferential, ScrambledInitialOrders) {
+  for (const std::uint64_t seed : {3u, 7u, 11u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    BddManager mgr(6);
+    mgr.set_initial_order(testing::scrambled_pair_order(6, seed));
+    // Wraps by level keep their shape under any order; wraps by variable
+    // index mostly break it there.
+    for (std::uint32_t k = 1; k <= 5; ++k) {
+      expect_renames_match_the_oracle(mgr, level_rotation(mgr, k), /*restricting=*/k <= 4);
+      std::vector<std::uint32_t> by_index(6);
+      for (std::uint32_t v = 0; v < 6; ++v) by_index[v] = (v + k) % 6;
+      expect_renames_match_the_oracle(mgr, by_index, /*restricting=*/false);
+    }
+  }
+}
+
+TEST(RenameDifferential, RandomPermutations) {
+  BddManager mgr(6);
+  std::vector<std::uint32_t> map = {0, 1, 2, 3, 4, 5};
+  std::uint64_t x = 0x2545f4914f6cdd1dULL;  // xorshift64
+  for (int i = 0; i < 40; ++i) {
+    for (std::size_t j = map.size(); j > 1; --j) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      std::swap(map[j - 1], map[x % j]);
+    }
+    expect_renames_match_the_oracle(mgr, map, /*restricting=*/false);
+  }
+}
+
+TEST(BddManager, SupportVarsMatchTruthTableDependence) {
+  // A variable is in the support exactly when flipping it changes the
+  // function; the multi-root overload returns the union.
+  BddManager mgr(6);
+  const auto depends = [](std::uint64_t table) {
+    std::vector<std::uint32_t> vars;
+    for (std::uint32_t v = 0; v < 6; ++v)
+      for (std::uint32_t a = 0; a < 64; ++a)
+        if (((table >> a) & 1u) != ((table >> (a ^ (1u << v))) & 1u)) {
+          vars.push_back(v);
+          break;
+        }
+    return vars;
+  };
+  const std::vector<std::uint64_t> tables = rename_pool();
+  std::vector<BddRef> pool;
+  for (const std::uint64_t table : tables) pool.push_back(from_table(mgr, table));
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(mgr.support_vars(pool[i]), depends(tables[i])) << "table " << tables[i];
+    const std::size_t j = (i + 5) % pool.size();
+    std::vector<std::uint32_t> both = depends(tables[i]);
+    for (const std::uint32_t v : depends(tables[j]))
+      if (std::find(both.begin(), both.end(), v) == both.end()) both.push_back(v);
+    std::sort(both.begin(), both.end());
+    EXPECT_EQ(mgr.support_vars(std::vector<Bdd>{pool[i], pool[j]}), both);
+  }
 }
 
 TEST(BddManager, SatCount) {

@@ -182,6 +182,27 @@ TEST(RingRotation, VerdictIsCachedAndResetByAdoptReachable) {
   EXPECT_TRUE(ts.verified_rotation());
 }
 
+TEST(RingRotation, VerificationBuildsNoNodeAtR64AndR128) {
+  // Under the canonical order π keeps the order except at the last
+  // process's four variables, which wrap onto the top, so rename takes its
+  // restriction path: π fixes the reachable set and T & reach and maps each
+  // label onto one that exists, so every node it builds is already there.
+  for (const std::uint32_t r : {64u, 128u}) {
+    SCOPED_TRACE("r = " + std::to_string(r));
+    const SymbolicRing ring = build_symbolic_ring(r);
+    const TransitionSystem& ts = *ring.system;
+    BddManager& m = ts.manager();
+    static_cast<void>(ts.reachable_transitions());
+    const std::size_t nodes = m.num_nodes();
+    ASSERT_TRUE(ts.verified_rotation());
+    EXPECT_EQ(m.num_nodes(), nodes);
+    EXPECT_EQ(m.rename(ts.reachable_transitions(), ts.rotation()).get(),
+              ts.reachable_transitions());
+    EXPECT_EQ(m.num_nodes(), nodes);
+    EXPECT_TRUE(m.audit(BddManager::AuditLevel::kFull).ok());
+  }
+}
+
 TEST(RingRotation, OnlyAFoldableQuantifierAsksForVerification) {
   const SymbolicRing ring = build_symbolic_ring(6);
   CtlChecker checker(ring.system);
