@@ -298,6 +298,34 @@ void BM_SymbolicVerifyRotation(benchmark::State& state) {
 }
 BENCHMARK(BM_SymbolicVerifyRotation)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
+void BM_SymbolicRestrictedRelation(benchmark::State& state) {
+  // The relation every EU/EG round and the rotation check read: each
+  // iteration reloads the ring (with its reachable set) into a fresh
+  // manager untimed, then times reachable_transitions() — one or_all pass
+  // over the parts with reach as its care set.
+  const auto r = static_cast<std::uint32_t>(state.range(0));
+  const auto ring = symbolic::build_symbolic_ring(r);
+  benchmark::DoNotOptimize(ring.system->num_states());
+  std::ostringstream out;
+  symbolic::save_transition_system(*ring.system, out);
+  const std::string blob = out.str();
+  std::optional<symbolic::TransitionSystem> loaded;
+  std::size_t nodes_added = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    loaded.reset();
+    std::istringstream in(blob);
+    loaded.emplace(symbolic::load_transition_system(in, ring.system->registry()));
+    const std::size_t nodes = loaded->manager().num_nodes();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(loaded->reachable_transitions());
+    nodes_added = loaded->manager().num_nodes() - nodes;
+  }
+  // Node slots the build allocated on the reloaded manager.
+  state.counters["nodes_added"] = static_cast<double>(nodes_added);
+}
+BENCHMARK(BM_SymbolicRestrictedRelation)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
 void BM_SymbolicReachableWithAutoGc(benchmark::State& state) {
   // The full reachability pipeline with mark-and-sweep armed: transient
   // frontier garbage is reclaimed as it dies instead of accumulating, at

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -167,7 +168,7 @@ BddManager::BddManager(std::uint32_t num_vars) : num_vars_(num_vars) {
 }
 
 BddManager::~BddManager() {
-  if (!cache_.empty()) swap_parked_cache(cache_);
+  if (!cache_.empty()) swap_parked_cache(cache_, cache_epoch_);
 }
 
 std::uint32_t BddManager::new_var() {
@@ -558,15 +559,33 @@ std::size_t BddManager::garbage_collect() {
 // ---- Computed table ---------------------------------------------------------
 
 void BddManager::allocate_cache() {
-  swap_parked_cache(cache_);
-  cache_.assign(std::size_t{1} << kCacheLog2, CacheEntry{});
+  // No entry exists under this manager's own epoch yet, so it may restart
+  // from the parked one; a fresh table's entries all carry epoch 0.
+  std::uint32_t epoch = 0;
+  swap_parked_cache(cache_, epoch);
+  if (cache_.empty()) cache_.assign(std::size_t{1} << kCacheLog2, CacheEntry{});
+  cache_epoch_ = epoch;
+  advance_cache_epoch();
 }
 
-void BddManager::swap_parked_cache(std::vector<CacheEntry>& table) {
+void BddManager::swap_parked_cache(std::vector<CacheEntry>& table, std::uint32_t& epoch) {
   static std::mutex mutex;
   static std::vector<CacheEntry> parked;
+  static std::uint32_t parked_epoch = 0;
   const std::lock_guard<std::mutex> lock(mutex);
-  if (table.empty() != parked.empty()) table.swap(parked);
+  if (table.empty() != parked.empty()) {
+    table.swap(parked);
+    std::swap(epoch, parked_epoch);
+  }
+}
+
+void BddManager::advance_cache_epoch() {
+  if (cache_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+    cache_epoch_ = 1;
+  } else {
+    ++cache_epoch_;
+  }
 }
 
 std::size_t BddManager::cache_set(Op op, Bdd a, Bdd b, Bdd c) const {
@@ -612,7 +631,7 @@ void BddManager::invalidate_operation_caches() {
   // epoch-invalidated here, and every order-changing or node-retiring path
   // calls this.  With scoped lifetimes this is load-bearing, not
   // defense-in-depth: a retired handle must never come back out of a cache.
-  ++cache_epoch_;
+  advance_cache_epoch();
   ++rename_epoch_;
   ++stats_.cache_invalidations;
 }
@@ -655,6 +674,135 @@ BddRef BddManager::bdd_or(Bdd f, Bdd g) { return ite(f, kBddTrue, g); }
 BddRef BddManager::bdd_xor(Bdd f, Bdd g) { return ite(f, bdd_not(g), g); }
 BddRef BddManager::bdd_iff(Bdd f, Bdd g) { return ite(f, g, bdd_not(g)); }
 BddRef BddManager::bdd_diff(Bdd f, Bdd g) { return ite(g, kBddFalse, f); }
+
+// ---- N-ary disjunction ------------------------------------------------------
+
+/// One or_all call's working state.  A key is (care, terms...): the care
+/// set, then the sorted distinct live terms.  Raw handles throughout, valid
+/// for the call: its recursion runs no maintenance.
+struct BddManager::OrAllMemo {
+  struct Entry {
+    std::uint64_t hash;
+    std::size_t at;     // the key's offset in `keys`
+    std::uint32_t len;  // the key's length: 1 + the number of terms
+    Bdd result;         // ictl-lint: allow(raw-bdd-member)
+  };
+  // ictl-lint: allow(raw-bdd-member)
+  std::vector<Bdd> keys;  // every entry's key, back to back
+  std::vector<Entry> entries;
+  std::vector<std::uint32_t> slots;  // open addressing: 1 + entry index, 0 empty
+  // ictl-lint: allow(raw-bdd-member)
+  std::vector<Bdd> stack;  // the term lists of the calls in flight
+  std::uint64_t misses = 0;
+
+  [[nodiscard]] std::uint64_t hash(Bdd care, std::size_t at, std::size_t len) const {
+    std::uint64_t h = care;
+    for (std::size_t i = at; i < at + len; ++i) h = (h ^ stack[i]) * 0x100000001b3ULL;
+    return mix(h ^ (std::uint64_t{len} << 32));
+  }
+
+  /// The entry for (care, stack[at, at + len)), or nullptr.
+  [[nodiscard]] const Entry* find(std::uint64_t h, Bdd care, std::size_t at,
+                                  std::size_t len) const {
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t s = h & mask; slots[s] != 0; s = (s + 1) & mask) {
+      const Entry& e = entries[slots[s] - 1];
+      if (e.hash == h && e.len == len + 1 && keys[e.at] == care &&
+          std::equal(stack.begin() + static_cast<std::ptrdiff_t>(at),
+                     stack.begin() + static_cast<std::ptrdiff_t>(at + len),
+                     keys.begin() + static_cast<std::ptrdiff_t>(e.at + 1)))
+        return &e;
+    }
+    return nullptr;
+  }
+
+  void insert(std::uint64_t h, Bdd care, std::size_t at, std::size_t len, Bdd result) {
+    if (2 * (entries.size() + 1) > slots.size()) {
+      slots.assign(2 * slots.size(), 0);
+      for (std::uint32_t i = 0; i < entries.size(); ++i) place(entries[i].hash, i);
+    }
+    entries.push_back({h, keys.size(), static_cast<std::uint32_t>(len + 1), result});
+    keys.push_back(care);
+    keys.insert(keys.end(), stack.begin() + static_cast<std::ptrdiff_t>(at),
+                stack.begin() + static_cast<std::ptrdiff_t>(at + len));
+    place(h, static_cast<std::uint32_t>(entries.size() - 1));
+  }
+
+  void place(std::uint64_t h, std::uint32_t index) {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t s = h & mask;
+    while (slots[s] != 0) s = (s + 1) & mask;
+    slots[s] = index + 1;
+  }
+};
+
+BddRef BddManager::or_all(std::span<const Bdd> terms, Bdd care) {
+  ICTL_PROFILE_ARG("bdd", "or_all", "terms", terms.size());
+  ICTL_ASSERT(care < nodes_.size());
+  OrAllMemo memo;
+  memo.slots.assign(64, 0);
+  Bdd result = kBddFalse;
+  if (std::find(terms.begin(), terms.end(), kBddTrue) != terms.end()) {
+    result = care;
+  } else {
+    for (const Bdd t : terms) {
+      ICTL_ASSERT(t < nodes_.size());
+      if (t != kBddFalse) memo.stack.push_back(t);
+    }
+    std::sort(memo.stack.begin(), memo.stack.end());
+    memo.stack.erase(std::unique(memo.stack.begin(), memo.stack.end()), memo.stack.end());
+    result = or_all_rec(memo, care, 0, memo.stack.size());
+  }
+  ICTL_SPAN_ARG("misses", memo.misses);
+  BddRef ref(*this, result);
+  run_deferred_maintenance();
+  return ref;
+}
+
+Bdd BddManager::or_all_rec(OrAllMemo& memo, Bdd care, std::size_t at, std::size_t len) {
+  if (care == kBddFalse || len == 0) return kBddFalse;
+  if (len == 1 && care == kBddTrue) return memo.stack[at];
+
+  const std::uint64_t h = memo.hash(care, at, len);
+  if (const OrAllMemo::Entry* e = memo.find(h, care, at, len)) return e->result;
+  if ((++memo.misses & 0xfff) == 0) rt::checkpoint("bdd/or_all");
+
+  std::uint32_t top = level(care);
+  for (std::size_t i = at; i < at + len; ++i) top = std::min(top, level(memo.stack[i]));
+  const std::uint32_t var = level2var_[top];
+  const Bdd lo = or_all_branch(memo, care, at, len, var, false);
+  const Bdd hi = or_all_branch(memo, care, at, len, var, true);
+  const Bdd result = mk(var, lo, hi);
+  memo.insert(h, care, at, len, result);
+  return result;
+}
+
+Bdd BddManager::or_all_branch(OrAllMemo& memo, Bdd care, std::size_t at, std::size_t len,
+                              std::uint32_t var, bool high) {
+  const auto cofactor = [&](Bdd x) {
+    const Node& n = nodes_[x];  // a terminal's kTerminalVar is no variable
+    return n.var == var ? (high ? n.high : n.low) : x;
+  };
+  const Bdd c = cofactor(care);
+  if (c == kBddFalse) return kBddFalse;
+  // The branch's list goes on top of the stack (indices, not iterators:
+  // pushing may reallocate it) and comes off again once its call returns.
+  const std::size_t out = memo.stack.size();
+  for (std::size_t i = at; i < at + len; ++i) {
+    const Bdd t = cofactor(memo.stack[i]);
+    if (t == kBddTrue) {  // one term covers the branch: what is left is care
+      memo.stack.resize(out);
+      return c;
+    }
+    if (t != kBddFalse) memo.stack.push_back(t);
+  }
+  const auto first = memo.stack.begin() + static_cast<std::ptrdiff_t>(out);
+  std::sort(first, memo.stack.end());
+  memo.stack.erase(std::unique(first, memo.stack.end()), memo.stack.end());
+  const Bdd result = or_all_rec(memo, c, out, memo.stack.size() - out);
+  memo.stack.resize(out);
+  return result;
+}
 
 // ---- Quantification ---------------------------------------------------------
 
@@ -1238,11 +1386,15 @@ std::vector<Bdd> BddManager::walk_dag(std::span<const Bdd> roots,
   return order;
 }
 
+std::vector<Bdd> BddManager::children_first(std::span<const Bdd> roots) const {
+  std::vector<std::uint32_t> vars;
+  return walk_dag(roots, vars);
+}
+
 std::size_t BddManager::dag_size(Bdd f) const { return dag_size(std::vector<Bdd>{f}); }
 
 std::size_t BddManager::dag_size(const std::vector<Bdd>& roots) const {
-  std::vector<std::uint32_t> vars;
-  return walk_dag(roots, vars).size();
+  return children_first(roots).size();
 }
 
 std::vector<std::uint32_t> BddManager::support_vars(Bdd f) const {

@@ -6,7 +6,8 @@
 // manager — the third engine's substrate.  No external dependencies: nodes
 // are hash-consed through per-variable unique subtables so structural
 // equality is pointer (index) equality, and the Shannon-expansion operators
-// run through a lossy 2-way set-associative computed-table cache with aging.
+// run through a lossy 2-way set-associative computed-table cache with aging
+// — all but the n-ary or_all, which keeps its own memo for one call.
 //
 // Design notes:
 //   * Node handles are dense 32-bit indices (`Bdd`); 0 and 1 are the
@@ -38,8 +39,15 @@
 //   * The computed cache and the rename memo are invalidated epoch-style in
 //     one centralized helper whenever the order changes or a sweep retires
 //     nodes: a retired handle must never come back out of a cache.  The
+//     computed table outlives its manager: a destroyed manager parks it
+//     and the next one starts past its epoch, so no handle of the old
+//     manager can hit in the new one (allocate_cache).  The rename
 //     memo's stamps also mark the nodes a walk (support, DAG size, rename's
-//     support pass) has visited, so a walk costs the nodes it visits.
+//     support pass, a store's record order) has visited, so a walk costs
+//     the nodes it visits.
+//   * Many-way disjunction is one recursion too: or_all cofactors every
+//     term at once under an optional care set (a relation's parts, say,
+//     restricted to the reachable sources), instead of a tree of ITEs.
 //   * Quantification is one recursion, the fused relational product
 //     `and_exists` over a positive cube (conjunction of variables): plain
 //     existential quantification is and_exists(f, kBddTrue, cube).
@@ -104,8 +112,9 @@ class BddManager {
   /// new_var).  The computed-table cache holds 2^18 entries (2-way
   /// set-associative with aging, lossy — bounded memory however long a run).
   explicit BddManager(std::uint32_t num_vars = 0);
-  /// Parks the computed table for the next manager to reuse (one table per
-  /// process, freed at exit) instead of freeing it; see allocate_cache.
+  /// Parks the computed table, with its epoch, for the next manager to
+  /// reuse (one table per process, freed at exit) instead of freeing it;
+  /// see allocate_cache.
   ~BddManager();
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
@@ -152,7 +161,8 @@ class BddManager {
   void make_nodes(const std::vector<std::array<std::uint32_t, 3>>& records,
                   std::vector<Bdd>& handles);
 
-  // ---- Boolean operators (all reduce to ITE) -------------------------------
+  // ---- Boolean operators ---------------------------------------------------
+  // The binary ones reduce to ITE; or_all is a kernel of its own.
   [[nodiscard]] BddRef ite(Bdd f, Bdd g, Bdd h);
   [[nodiscard]] BddRef bdd_not(Bdd f);
   [[nodiscard]] BddRef bdd_and(Bdd f, Bdd g);
@@ -161,6 +171,16 @@ class BddManager {
   [[nodiscard]] BddRef bdd_iff(Bdd f, Bdd g);
   /// f & !g.
   [[nodiscard]] BddRef bdd_diff(Bdd f, Bdd g);
+
+  /// care & (t_1 | ... | t_n) in one recursion (false for no terms): each
+  /// step cofactors care and every live term at the top level of them all,
+  /// so no pairwise intermediate OR is ever built.  The memo is the call's
+  /// own, keyed on (care, the sorted distinct live terms) and freed on
+  /// return; the computed table is never consulted.  Nodes are created by
+  /// the hash-consing constructor alone, so every slot the call allocates
+  /// is a node of its result.  Runs a budget checkpoint every 4096 memo
+  /// misses (phase "bdd/or_all"); a trip unwinds leaving only dead nodes.
+  [[nodiscard]] BddRef or_all(std::span<const Bdd> terms, Bdd care = kBddTrue);
 
   // ---- Quantification ------------------------------------------------------
 
@@ -259,6 +279,11 @@ class BddManager {
   /// counts shared nodes once.
   [[nodiscard]] std::size_t dag_size(Bdd f) const;
   [[nodiscard]] std::size_t dag_size(const std::vector<Bdd>& roots) const;
+
+  /// The nodes under `roots` (terminals excluded, shared ones once) in the
+  /// order a store writes them: the roots in turn, each node after its low
+  /// cone and its low cone before its high one.
+  [[nodiscard]] std::vector<Bdd> children_first(std::span<const Bdd> roots) const;
 
   /// Variables occurring in f, ascending by variable index; the multi-root
   /// overload returns the union over one walk of the shared DAG.  Costs
@@ -441,10 +466,15 @@ class BddManager {
   /// liveness: sweeps, reordering, live_nodes(), check_invariants().
   void flush_dead_queue() noexcept;
 
-  /// Centralized cache invalidation: bumps the computed-table epoch and the
-  /// rename-memo epoch in one place — the single path every order-changing
-  /// or node-retiring operation goes through.
+  /// Centralized cache invalidation: advances the computed-table epoch and
+  /// bumps the rename-memo epoch in one place — the single path every
+  /// order-changing or node-retiring operation goes through.
   void invalidate_operation_caches();
+  /// Moves cache_epoch_ to an epoch no entry carries: one past it, or, at
+  /// the maximum (where one past would wrap onto stamps already used, and
+  /// an entry holding a retired handle could come back valid), 1 with the
+  /// table cleared.
+  void advance_cache_epoch();
 
   // Sifting + GC internals.
   /// Unlinks every dead node from the unique subtables (they stay allocated
@@ -472,6 +502,16 @@ class BddManager {
                              AuditReport& report);
 
   Bdd ite_rec(Bdd f, Bdd g, Bdd h);
+  /// or_all's per-call memo and term stack (defined in bdd.cpp).
+  struct OrAllMemo;
+  /// care & the OR of the terms at memo.stack[at, at + len): sorted,
+  /// distinct, none a terminal.
+  Bdd or_all_rec(OrAllMemo& memo, Bdd care, std::size_t at, std::size_t len);
+  /// or_all_rec on the cofactors of care and those terms on `var`, the
+  /// variable at their top level (`high` picks the branch), their list
+  /// pushed on the stack for the call and popped after it.
+  Bdd or_all_branch(OrAllMemo& memo, Bdd care, std::size_t at, std::size_t len,
+                    std::uint32_t var, bool high);
   Bdd and_exists_rec(Bdd f, Bdd g, Bdd cube);
   Bdd pair_pre_image_rec(Bdd relation, Bdd set);
   /// The nodes under `roots` (shared ones once), children before parents,
@@ -532,20 +572,24 @@ class BddManager {
   void ensure_cache() {
     if (cache_.empty()) allocate_cache();
   }
-  /// Takes the table a destroyed manager parked, if there is one, and
-  /// clears it.  Cold managers often run one after another (a checker per
-  /// query), and a freed table stays in glibc's heap once the first one
-  /// freed has raised the dynamic mmap threshold past its 7.3 MB; the
-  /// next manager's node tables then split its hole and its own table
-  /// lands above them, growing the heap by up to that much.  One parked
-  /// block keeps the peak resident set flat.
+  /// Takes the table a destroyed manager parked, if there is one, with the
+  /// epoch its entries were last stamped under, and starts one epoch past
+  /// it (advance_cache_epoch): every entry left behind is stale without a
+  /// write to the 7.3 MB table.  Otherwise allocates a zeroed one.  Cold
+  /// managers often run one after another (a checker per query), and a
+  /// freed table stays in glibc's heap once the first one freed has raised
+  /// the dynamic mmap threshold past its size; the next manager's node
+  /// tables then split its hole and its own table lands above them,
+  /// growing the heap by up to that much.  One parked block keeps the peak
+  /// resident set flat.
   void allocate_cache();
-  /// Moves `table` into the process's parking slot when the slot is empty,
-  /// or the parked table into `table` when `table` is empty.
-  static void swap_parked_cache(std::vector<CacheEntry>& table);
+  /// Swaps (`table`, `epoch`) with the process's parking slot when exactly
+  /// one of the two holds a table: parks `table` in an empty slot, or
+  /// takes the parked table into an empty `table`.
+  static void swap_parked_cache(std::vector<CacheEntry>& table, std::uint32_t& epoch);
 
   std::vector<CacheEntry> cache_;  // empty until ensure_cache()
-  std::uint32_t cache_epoch_ = 1;
+  std::uint32_t cache_epoch_ = 1;  // set by allocate_cache
   std::uint32_t cache_tick_ = 0;
 
   Stats stats_;

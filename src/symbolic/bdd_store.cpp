@@ -6,7 +6,6 @@
 #include <istream>
 #include <optional>
 #include <ostream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "rt/failpoint.hpp"
@@ -157,28 +156,23 @@ void save_bdds(const BddManager& mgr, std::ostream& out,
   }
 
   // Children-first numbering, densely renumbered (handles are sparse after
-  // GC, the file is not): an iterative postorder DFS over the shared DAG.
-  std::unordered_map<Bdd, std::uint32_t> file_id;
-  file_id.emplace(kBddFalse, 0);
-  file_id.emplace(kBddTrue, 1);
-  std::vector<std::array<std::uint32_t, 3>> records;
-  std::vector<std::pair<Bdd, bool>> stack;
-  for (const auto& [name, root] : roots) {
-    stack.emplace_back(root, false);
-    while (!stack.empty()) {
-      const auto [f, expanded] = stack.back();
-      stack.pop_back();
-      if (file_id.contains(f)) continue;
-      if (expanded) {
-        const auto fid = static_cast<std::uint32_t>(2 + records.size());
-        records.push_back({mgr.node_var(f), file_id.at(mgr.node_low(f)),
-                           file_id.at(mgr.node_high(f))});
-        file_id.emplace(f, fid);
-      } else {
-        stack.emplace_back(f, true);
-        stack.emplace_back(mgr.node_high(f), false);
-        stack.emplace_back(mgr.node_low(f), false);
-      }
+  // GC, the file is not): node i of the walk gets file id 2 + i, through an
+  // id table indexed by handle, and every record is encoded into one buffer
+  // written at once.
+  std::vector<Bdd> handles;
+  handles.reserve(roots.size());
+  for (const auto& [name, root] : roots) handles.push_back(root);
+  const std::vector<Bdd> nodes = mgr.children_first(handles);
+  std::vector<std::uint32_t> file_id(mgr.num_nodes());
+  file_id[kBddTrue] = 1;
+  std::vector<unsigned char> records(12 * nodes.size());
+  unsigned char* rec = records.data();
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const Bdd f = nodes[i];
+    file_id[f] = static_cast<std::uint32_t>(2 + i);
+    for (const std::uint32_t field :
+         {mgr.node_var(f), file_id[mgr.node_low(f)], file_id[mgr.node_high(f)]}) {
+      for (int b = 0; b < 4; ++b) *rec++ = static_cast<unsigned char>(field >> (8 * b));
     }
   }
 
@@ -187,17 +181,13 @@ void save_bdds(const BddManager& mgr, std::ostream& out,
   w.u32(kVersion);
   w.u32(mgr.num_vars());
   for (const std::uint32_t v : mgr.current_order()) w.u32(v);
-  w.u64(records.size());
+  w.u64(nodes.size());
   w.u32(static_cast<std::uint32_t>(roots.size()));
-  for (const auto& rec : records) {
-    w.u32(rec[0]);
-    w.u32(rec[1]);
-    w.u32(rec[2]);
-  }
+  w.bytes(records.data(), records.size());
   for (const auto& [name, root] : roots) {
     w.u32(static_cast<std::uint32_t>(name.size()));
     w.bytes(name.data(), name.size());
-    w.u32(file_id.at(root));
+    w.u32(file_id[root]);
   }
   w.finish();
 #ifdef ICTL_AUDIT

@@ -251,7 +251,7 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
       chain.at(SymbolicRing::holder_var(i)) = {Unprimed::kFalse, Primed::kFrame};
       cases.push_back(chain.build());
     }
-    partition.push_back(or_all(m, std::move(cases)));
+    partition.push_back(m.or_all(cases));
   }
 
   // Rule 3 (one partition): the holder moves from T to C (phase bit set).
@@ -334,7 +334,7 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
           between.push_back(i);
         }
       }
-      partition.push_back(or_all(m, std::move(cases)));
+      partition.push_back(m.or_all(cases));
     }
   }
 

@@ -75,14 +75,15 @@ void SymbolicStateOps::prepare_rounds() const {
   // Every round's pre-image runs inside the round's protect_scope, where no
   // maintenance runs.  Built here instead, on first use, the rounds'
   // relation passes its maintenance point — GC, sifting, the node budget's
-  // ladder — before the system caches it.
+  // ladder — before the system caches it.  Called only by a fixpoint that
+  // has something to image: an empty set's pre-image needs no relation.
   static_cast<void>(system_->reachable_transitions());
 }
 
 Set SymbolicStateOps::eu(const Set& f, const Set& g) {
   ICTL_PROFILE("sym", "eu_fixpoint");
   BddManager& m = system_->manager();
-  prepare_rounds();
+  if (g.get() != kBddFalse) prepare_rounds();
   BddRef z(m, g.get());
   BddRef frontier(m, g.get());
   last_iterations_ = 0;
@@ -107,7 +108,7 @@ Set SymbolicStateOps::eu(const Set& f, const Set& g) {
 Set SymbolicStateOps::eg(const Set& f) {
   ICTL_PROFILE("sym", "eg_fixpoint");
   BddManager& m = system_->manager();
-  prepare_rounds();
+  if (f.get() != kBddFalse) prepare_rounds();
   BddRef z(m, f.get());
   last_iterations_ = 0;
   while (true) {

@@ -72,19 +72,20 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
 }
 
 Bdd TransitionSystem::transitions() const {
-  if (monolithic_.has_value()) return monolithic_->get();
-  // The scope keeps or_all's raw intermediate layers valid; the result is
-  // rooted before it exits.
-  const auto scope = mgr_->protect_scope();
-  monolithic_ =
-      BddRef(*mgr_, or_all(*mgr_, std::vector<Bdd>(parts_.begin(), parts_.end())));
+  if (!monolithic_.has_value())
+    monolithic_ = mgr_->or_all(std::vector<Bdd>(parts_.begin(), parts_.end()));
   return monolithic_->get();
 }
 
 Bdd TransitionSystem::reachable_transitions() const {
-  // Assigned only once the product has passed its maintenance point — GC,
-  // sifting, the node budget's ladder — so a trip caches nothing.
-  if (!restricted_.has_value()) restricted_ = mgr_->bdd_and(transitions(), reachable());
+  // One pass over the parts under the reachable set as care: T itself is
+  // never built.  Assigned only once or_all has passed its maintenance
+  // point — GC, sifting, the node budget's ladder — so a trip caches
+  // nothing.
+  if (!restricted_.has_value()) {
+    const Bdd reach = reachable();
+    restricted_ = mgr_->or_all(std::vector<Bdd>(parts_.begin(), parts_.end()), reach);
+  }
   return restricted_->get();
 }
 
@@ -93,11 +94,13 @@ std::size_t TransitionSystem::relation_node_count() const {
 }
 
 BddRef TransitionSystem::pre_image(Bdd states) const {
+  if (states == kBddFalse) return BddRef(*mgr_, kBddFalse);
   ICTL_COUNT("sym", "pre_images");
   return mgr_->pair_pre_image(transitions(), states);
 }
 
 BddRef TransitionSystem::reachable_pre_image(Bdd states) const {
+  if (states == kBddFalse) return BddRef(*mgr_, kBddFalse);
   ICTL_COUNT("sym", "pre_images");
   return mgr_->pair_pre_image(reachable_transitions(), states);
 }
@@ -568,19 +571,6 @@ Bdd state_minterm(BddManager& mgr, std::uint32_t num_state_vars, kripke::StateId
   return acc;
 }
 
-Bdd or_all(BddManager& mgr, std::vector<Bdd> terms) {
-  if (terms.empty()) return kBddFalse;
-  while (terms.size() > 1) {
-    std::vector<Bdd> next;
-    next.reserve(terms.size() / 2 + 1);
-    for (std::size_t i = 0; i + 1 < terms.size(); i += 2)
-      next.push_back(mgr.bdd_or(terms[i], terms[i + 1]));
-    if (terms.size() % 2 != 0) next.push_back(terms.back());
-    terms = std::move(next);
-  }
-  return terms.front();
-}
-
 TransitionSystem from_structure(const kripke::Structure& m,
                                 std::shared_ptr<BddManager> mgr) {
   const std::size_t n = m.num_states();
@@ -599,21 +589,21 @@ TransitionSystem from_structure(const kripke::Structure& m,
   // exits.
   const auto scope = mgr->protect_scope();
 
-  // Transition relation: per source state, one minterm AND the balanced OR
-  // of its successors' primed minterms.
+  // Transition relation: per source state, its minterm as the care set of
+  // one OR over its successors' primed minterms; then one OR of the rows.
   std::vector<Bdd> rows;
   rows.reserve(n);
+  std::vector<Bdd> targets;
   for (kripke::StateId s = 0; s < n; ++s) {
     const auto succs = m.successors(s);
     if (succs.empty()) continue;
-    std::vector<Bdd> targets;
-    targets.reserve(succs.size());
+    targets.clear();
     for (const kripke::StateId t : succs)
       targets.push_back(state_minterm(*mgr, bits, t, /*primed=*/true));
-    rows.push_back(mgr->bdd_and(state_minterm(*mgr, bits, s, /*primed=*/false),
-                                or_all(*mgr, std::move(targets))));
+    rows.push_back(
+        mgr->or_all(targets, state_minterm(*mgr, bits, s, /*primed=*/false)));
   }
-  const Bdd transitions = or_all(*mgr, std::move(rows));
+  const BddRef transitions = mgr->or_all(rows);
 
   // Per-prop characteristic functions from the label columns.
   std::vector<std::pair<kripke::PropId, Bdd>> props;
@@ -623,12 +613,12 @@ TransitionSystem from_structure(const kripke::Structure& m,
       holders.push_back(
           state_minterm(*mgr, bits, static_cast<kripke::StateId>(s), false));
     });
-    props.emplace_back(p, or_all(*mgr, std::move(holders)));
+    props.emplace_back(p, mgr->or_all(holders));
   }
 
   const Bdd initial = state_minterm(*mgr, bits, m.initial(), /*primed=*/false);
   std::vector<std::uint32_t> indices(m.index_set().begin(), m.index_set().end());
-  return TransitionSystem(std::move(mgr), bits, initial, {transitions}, m.registry(),
+  return TransitionSystem(std::move(mgr), bits, initial, {transitions.get()}, m.registry(),
                           std::move(props), std::move(indices));
 }
 

@@ -94,13 +94,15 @@ class TransitionSystem {
   /// The partitioned relation (system-rooted refs); T is their disjunction.
   [[nodiscard]] std::span<const BddRef> partition() const noexcept { return parts_; }
 
-  /// The monolithic T(x, x') — the parts' balanced OR, combined lazily on
-  /// first request, cached and system-rooted.
+  /// The monolithic T(x, x') — the parts' OR in one BddManager::or_all
+  /// pass, combined lazily on first request, cached and system-rooted.
   [[nodiscard]] Bdd transitions() const;
 
   /// T(x, x') & reachable(x): the relation from reachable sources only —
-  /// combined on first request, cached and system-rooted, and reset by
-  /// adopt_reachable.  The relation reachable_pre_image runs against.
+  /// one or_all pass over the parts with reachable() as its care set (T
+  /// itself is not built), on first request, cached and system-rooted, and
+  /// reset by adopt_reachable.  The relation reachable_pre_image runs
+  /// against.
   [[nodiscard]] Bdd reachable_transitions() const;
 
   /// Whether reachable_transitions() is cached (a budget trip while it is
@@ -113,15 +115,16 @@ class TransitionSystem {
   [[nodiscard]] std::size_t relation_node_count() const;
 
   /// { x | exists x'. T(x, x') & S(x') } — states with some successor in S:
-  /// one pair_pre_image against transitions().  Throws Error when the order
-  /// separates a pair the product meets (BddManager::pair_pre_image).
+  /// one pair_pre_image against transitions(), or false for an empty S
+  /// without building T.  Throws Error when the order separates a pair the
+  /// product meets (BddManager::pair_pre_image).
   [[nodiscard]] BddRef pre_image(Bdd states) const;
 
   /// reachable() & pre_image(S), the backward step of every symbolic EX,
   /// EU and EG round: one pair_pre_image against reachable_transitions(),
   /// so the restriction rides inside the product instead of trimming its
-  /// result.  Counts one sym/pre_images.  Throws as pre_image and
-  /// reachable() do.
+  /// result.  An empty S returns false and touches no relation; any other
+  /// counts one sym/pre_images.  Throws as pre_image and reachable() do.
   [[nodiscard]] BddRef reachable_pre_image(Bdd states) const;
 
   /// { x' | exists x. S(x) & T(x, x') } — states with some predecessor in S,
@@ -293,11 +296,5 @@ class TransitionSystem {
 /// survive.
 [[nodiscard]] Bdd state_minterm(BddManager& mgr, std::uint32_t num_state_vars,
                                 kripke::StateId s, bool primed);
-
-/// Balanced OR of `terms` (false when empty): pairs neighbours level by
-/// level, which keeps intermediate BDDs small next to a left fold when the
-/// terms are minterm-like.  Returns an UNROOTED handle, under the same
-/// contract as state_minterm.
-[[nodiscard]] Bdd or_all(BddManager& mgr, std::vector<Bdd> terms);
 
 }  // namespace ictl::symbolic

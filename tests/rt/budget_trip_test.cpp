@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "../helpers.hpp"
@@ -16,6 +18,7 @@
 #include "mc/ctl_checker.hpp"
 #include "rt/budget.hpp"
 #include "rt/failpoint.hpp"
+#include "symbolic/bdd_store.hpp"
 #include "symbolic/ctl_checker.hpp"
 #include "symbolic/ring_encoding.hpp"
 #include "symbolic/transition_system.hpp"
@@ -426,6 +429,41 @@ TEST(BudgetTrip, NodeCapWhileTheReachableRelationIsBuiltCachesNothing) {
   mc::CtlChecker reference(explicit_ring.structure());
   EXPECT_EQ(checker.holds_initially(f), reference.holds_initially(f));
   EXPECT_TRUE(ts->reachable_transitions_computed());
+}
+
+TEST(BudgetTrip, CancellationInsideTheRelationKernelCachesNothing) {
+  // On a reloaded M_128, T & reach is one BddManager::or_all pass of more
+  // than 4096 memo misses, so the kernel's batched checkpoint runs inside
+  // the recursion, and a token cancelled beforehand unwinds from there.
+  // Nothing may be cached, the system must audit clean, and the unbudgeted
+  // retry must return the fold's handle.
+  auto reg = kripke::make_registry();
+  const auto ring = symbolic::build_symbolic_ring(128, nullptr, reg);
+  static_cast<void>(ring.system->reachable());
+  std::stringstream blob;
+  symbolic::save_transition_system(*ring.system, blob);
+  const TransitionSystem loaded = symbolic::load_transition_system(blob, reg);
+  symbolic::BddManager& mgr = loaded.manager();
+
+  CancellationToken token;
+  token.cancel();
+  ResourceBudget budget(BudgetLimits{}, token);
+  try {
+    const BudgetScope scope(budget);
+    static_cast<void>(loaded.reachable_transitions());
+    FAIL() << "the cancelled token never unwound the kernel";
+  } catch (const Interrupted& e) {
+    EXPECT_NE(std::string(e.what()).find("bdd/or_all"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(loaded.reachable_transitions_computed());
+  const auto report = loaded.audit();
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  ASSERT_TRUE(mgr.audit(symbolic::BddManager::AuditLevel::kCaches).ok());
+
+  symbolic::BddRef fold(mgr, symbolic::kBddFalse);
+  for (const symbolic::BddRef& part : loaded.partition()) fold = mgr.bdd_or(fold, part);
+  const symbolic::BddRef want = mgr.bdd_and(fold, loaded.reachable());
+  EXPECT_EQ(loaded.reachable_transitions(), want.get());
 }
 
 TEST(BudgetTrip, NodeCapWhileTheRotationIsVerifiedCachesNothing) {

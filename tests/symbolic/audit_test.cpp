@@ -47,6 +47,11 @@ struct AuditInjector {
   static void future_cache_epoch(BddManager& m) {
     m.cache_[0].epoch = m.cache_epoch_ + 1;
   }
+  /// Empties entry 0 again: the next manager inherits this table and
+  /// starts one epoch on, where an entry from the future would be valid.
+  static void forget_cache_entry(BddManager& m) { m.cache_[0] = BddManager::CacheEntry{}; }
+  static std::uint32_t cache_epoch(const BddManager& m) { return m.cache_epoch_; }
+  static void set_cache_epoch(BddManager& m, std::uint32_t epoch) { m.cache_epoch_ = epoch; }
   static void poison_rename_memo(BddManager& m, Bdd key, Bdd value) {
     if (m.rename_stamp_.size() < m.nodes_.size()) {
       m.rename_stamp_.resize(m.nodes_.size(), 0);
@@ -225,6 +230,7 @@ TEST(BddAudit, DetectsFutureCacheEpoch) {
   const auto report = w.mgr.audit(AuditLevel::kCaches);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(mentions(report, "future epoch"));
+  AuditInjector::forget_cache_entry(w.mgr);
 }
 
 TEST(BddAudit, DetectsStaleRenameMemoEntry) {
@@ -240,6 +246,99 @@ TEST(BddAudit, DetectsStaleRenameMemoEntry) {
   const auto report = w.mgr.audit(AuditLevel::kCaches);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(mentions(report, "rename memo"));
+}
+
+// ---- The computed table handed from one manager to the next ----
+
+/// Every assignment of variables 0..3 on which f holds, as a 16-bit mask.
+std::uint32_t table4(const BddManager& mgr, Bdd f) {
+  std::uint32_t table = 0;
+  for (std::uint32_t a = 0; a < 16; ++a) {
+    std::vector<bool> assignment(mgr.num_vars(), false);
+    for (std::uint32_t v = 0; v < 4; ++v) assignment[v] = ((a >> v) & 1u) != 0;
+    if (mgr.eval(f, assignment)) table |= 1u << a;
+  }
+  return table;
+}
+
+/// x2 & x3 over variables 0..3 (bit a holds it at assignment a).
+constexpr std::uint32_t kX2AndX3 = 0xf000;
+/// !x2 & x3.
+constexpr std::uint32_t kNotX2AndX3 = 0x0f00;
+
+TEST(BddCacheHandover, ANewManagersCoincidingHandlesGetNoStaleHit) {
+  // The first manager caches x0 & x1 under handles 2 and 3; the second
+  // inherits its table and gives handles 2 and 3 to !x2 and x3.  Its first
+  // conjunction asks the table the very same question, and must miss.
+  std::uint32_t parked_epoch = 0;
+  {
+    BddManager first(4);
+    const BddRef x0 = first.var(0);
+    const BddRef x1 = first.var(1);
+    ASSERT_EQ(x0.get(), 2u);
+    ASSERT_EQ(x1.get(), 3u);
+    const BddRef both = first.bdd_and(x0, x1);
+    parked_epoch = AuditInjector::cache_epoch(first);
+  }
+  BddManager second(4);
+  const BddRef not_x2 = second.nvar(2);
+  const BddRef x3 = second.var(3);
+  ASSERT_EQ(not_x2.get(), 2u);
+  ASSERT_EQ(x3.get(), 3u);
+  const auto hits = second.stats().cache_hits;
+  const BddRef both = second.bdd_and(not_x2, x3);
+  EXPECT_EQ(AuditInjector::cache_epoch(second), parked_epoch + 1);  // inherited
+  EXPECT_EQ(second.stats().cache_hits, hits);
+  EXPECT_EQ(table4(second, both), kNotX2AndX3);
+  EXPECT_TRUE(second.audit(AuditLevel::kCaches).ok());
+}
+
+/// Moves `mgr` to the maximum epoch and invalidates from there: the table
+/// must come out cleared, at epoch 1.
+void wrap_cache_epoch(BddManager& mgr) {
+  AuditInjector::set_cache_epoch(mgr, 0xffffffffu);
+  mgr.swap_adjacent_levels(0);  // every swap invalidates the caches
+  EXPECT_EQ(AuditInjector::cache_epoch(mgr), 1u);
+}
+
+TEST(BddCacheHandover, AnEpochAtItsMaximumClearsTheTableAndRestartsAtOne) {
+  BddManager mgr(4);
+  const BddRef x2 = mgr.var(2);
+  const BddRef x3 = mgr.var(3);
+  const BddRef warm = mgr.bdd_or(x2, x3);  // allocates the table
+  wrap_cache_epoch(mgr);
+  // An entry stamped 1, then a second wrap: were the table kept, the
+  // restarted epoch 1 would make that entry valid again.
+  const BddRef stamped = mgr.bdd_and(x2, x3);
+  wrap_cache_epoch(mgr);
+  const auto hits = mgr.stats().cache_hits;
+  const BddRef again = mgr.bdd_and(x2, x3);
+  EXPECT_EQ(mgr.stats().cache_hits, hits);
+  EXPECT_EQ(table4(mgr, again), kX2AndX3);
+  EXPECT_TRUE(mgr.audit(AuditLevel::kCaches).ok());
+}
+
+TEST(BddCacheHandover, ATableParkedAtTheMaximumEpochIsClearedOnHandover) {
+  {
+    BddManager first(4);
+    const BddRef x0 = first.var(0);
+    const BddRef x1 = first.var(1);
+    const BddRef warm = first.bdd_or(x0, x1);
+    wrap_cache_epoch(first);
+    const BddRef stamped = first.bdd_and(x0, x1);  // handles 2 and 3, epoch 1
+    AuditInjector::set_cache_epoch(first, 0xffffffffu);
+  }
+  BddManager second(4);
+  const BddRef not_x2 = second.nvar(2);
+  const BddRef x3 = second.var(3);
+  ASSERT_EQ(not_x2.get(), 2u);
+  ASSERT_EQ(x3.get(), 3u);
+  const auto hits = second.stats().cache_hits;
+  const BddRef both = second.bdd_and(not_x2, x3);
+  EXPECT_EQ(AuditInjector::cache_epoch(second), 1u);
+  EXPECT_EQ(second.stats().cache_hits, hits);
+  EXPECT_EQ(table4(second, both), kNotX2AndX3);
+  EXPECT_TRUE(second.audit(AuditLevel::kCaches).ok());
 }
 
 // ---- Tier 4: counts ----

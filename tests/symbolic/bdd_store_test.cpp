@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,6 +17,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,6 +92,107 @@ TEST(BddStore, SaveIsDeterministic) {
   save_bdds(*mgr, a, roots);
   save_bdds(*mgr, b, roots);
   EXPECT_EQ(a.str(), b.str());
+}
+
+/// The store writer as it was before it numbered nodes through the DAG
+/// walk: a postorder DFS per root (low before high) into a handle-keyed
+/// map, each record written as three little-endian u32s, all folded into
+/// the FNV-1a checksum.  The reference the current writer must match byte
+/// for byte.
+std::string map_dfs_store(const BddManager& mgr,
+                          const std::vector<std::pair<std::string, Bdd>>& roots) {
+  std::unordered_map<Bdd, std::uint32_t> file_id = {{kBddFalse, 0}, {kBddTrue, 1}};
+  std::vector<std::array<std::uint32_t, 3>> records;
+  std::vector<std::pair<Bdd, bool>> stack;
+  for (const auto& [name, root] : roots) {
+    stack.emplace_back(root, false);
+    while (!stack.empty()) {
+      const auto [f, expanded] = stack.back();
+      stack.pop_back();
+      if (file_id.contains(f)) continue;
+      if (expanded) {
+        const auto fid = static_cast<std::uint32_t>(2 + records.size());
+        records.push_back({mgr.node_var(f), file_id.at(mgr.node_low(f)),
+                           file_id.at(mgr.node_high(f))});
+        file_id.emplace(f, fid);
+      } else {
+        stack.emplace_back(f, true);
+        stack.emplace_back(mgr.node_high(f), false);
+        stack.emplace_back(mgr.node_low(f), false);
+      }
+    }
+  }
+  std::string out;
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  const auto bytes = [&](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) fnv = (fnv ^ p[i]) * 0x100000001b3ULL;
+    out.append(static_cast<const char*>(data), n);
+  };
+  const auto le = [&](std::uint64_t v, int width) {
+    unsigned char b[8];
+    for (int i = 0; i < width; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    bytes(b, static_cast<std::size_t>(width));
+  };
+  bytes("ICTLBDD\n", 8);
+  le(1, 4);  // version
+  le(mgr.num_vars(), 4);
+  for (const std::uint32_t v : mgr.current_order()) le(v, 4);
+  le(records.size(), 8);
+  le(roots.size(), 4);
+  for (const auto& rec : records)
+    for (const std::uint32_t field : rec) le(field, 4);
+  for (const auto& [name, root] : roots) {
+    le(name.size(), 4);
+    bytes(name.data(), name.size());
+    le(file_id.at(root), 4);
+  }
+  const std::uint64_t sum = fnv;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(sum >> (8 * i)));
+  return out;
+}
+
+TEST(BddStore, WriterMatchesTheMapDfsWriterByteForByte) {
+  // Random multi-root stores over scrambled orders, with shared cones,
+  // repeated roots, terminal roots and — after a sweep — sparse handles.
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;  // xorshift64
+  const auto next = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    BddManager mgr(10);
+    mgr.set_initial_order(scrambled_pair_order(10, seed));
+    std::vector<BddRef> pool = {BddRef(mgr, kBddFalse), BddRef(mgr, kBddTrue)};
+    for (std::uint32_t v = 0; v < 10; ++v) pool.push_back(mgr.var(v));
+    for (int k = 0; k < 40; ++k) {
+      const Bdd a = pool[next() % pool.size()];
+      const Bdd b = pool[next() % pool.size()];
+      switch (next() % 4) {
+        case 0: pool.push_back(mgr.bdd_and(a, b)); break;
+        case 1: pool.push_back(mgr.bdd_or(a, b)); break;
+        case 2: pool.push_back(mgr.bdd_xor(a, b)); break;
+        default: pool.push_back(mgr.bdd_diff(a, b)); break;
+      }
+    }
+    if (seed % 2 == 0) {  // drop half the pool and sweep: sparse handles
+      for (std::size_t k = 12; k < pool.size(); k += 2) pool[k] = BddRef(mgr, kBddFalse);
+      static_cast<void>(mgr.garbage_collect());
+    }
+    std::vector<std::pair<std::string, Bdd>> roots;
+    const std::size_t count = 1 + next() % 8;
+    for (std::size_t k = 0; k < count; ++k) {
+      std::string name = "r";
+      name += std::to_string(k);
+      roots.emplace_back(std::move(name), pool[next() % pool.size()].get());
+    }
+    std::stringstream written;
+    save_bdds(mgr, written, roots);
+    EXPECT_EQ(written.str(), map_dfs_store(mgr, roots));
+  }
 }
 
 TEST(BddStore, RejectsDuplicateNamesAndRetiredRoots) {

@@ -329,6 +329,96 @@ TEST(RenameDifferential, RandomPermutations) {
   }
 }
 
+/// Draws random or_all inputs over the rename pool — 0 to 9 terms, with
+/// duplicates, and a care set that is true, false or a pool table — and
+/// checks each result against the OR/AND of the truth tables and, by
+/// handle, against a bdd_or fold conjoined by bdd_and; the call may add no
+/// more node slots than the result's DAG, and the manager audits clean.
+void expect_or_all_matches_the_fold(BddManager& mgr, std::uint64_t seed) {
+  const std::vector<std::uint64_t> pool = rename_pool();
+  std::uint64_t x = seed;  // xorshift64
+  const auto next = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = next() % 10;
+    std::vector<std::uint64_t> tables;
+    std::vector<BddRef> terms;
+    std::uint64_t want = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      tables.push_back(pool[next() % pool.size()]);
+      terms.push_back(from_table(mgr, tables.back()));
+      want |= tables.back();
+    }
+    const std::uint64_t choice = next() % 3;
+    const std::uint64_t care_table = choice == 0   ? ~std::uint64_t{0}
+                                     : choice == 1 ? 0
+                                                   : pool[next() % pool.size()];
+    want &= care_table;
+    const BddRef care = from_table(mgr, care_table);
+    const std::vector<Bdd> handles(terms.begin(), terms.end());
+
+    const std::size_t before = mgr.num_nodes();
+    const BddRef got = mgr.or_all(handles, care);
+    EXPECT_LE(mgr.num_nodes() - before, mgr.dag_size(got)) << "round " << round;
+    EXPECT_EQ(truth_table(mgr, got, 6), want) << "round " << round;
+    BddRef fold(mgr, kBddFalse);
+    for (const BddRef& t : terms) fold = mgr.bdd_or(fold, t);
+    fold = mgr.bdd_and(fold, care);
+    EXPECT_EQ(got.get(), fold.get()) << "round " << round;
+  }
+  EXPECT_TRUE(mgr.audit(BddManager::AuditLevel::kFull).ok());
+}
+
+TEST(OrAllDifferential, IdentityOrder) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    BddManager mgr(6);
+    expect_or_all_matches_the_fold(mgr, seed * 0x9e3779b97f4a7c15ULL);
+  }
+}
+
+TEST(OrAllDifferential, ScrambledInitialOrders) {
+  for (const std::uint64_t seed : {3u, 7u, 11u}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    BddManager mgr(6);
+    mgr.set_initial_order(testing::scrambled_pair_order(6, seed));
+    expect_or_all_matches_the_fold(mgr, seed * 0x2545f4914f6cdd1dULL);
+  }
+}
+
+TEST(OrAllDifferential, AdjacentLevelsSwappedUnderLiveFunctions) {
+  // The pool's functions are built and held first, so each swap rewrites
+  // live nodes in place before the kernel reads them.
+  for (std::uint32_t level = 0; level + 1 < 6; ++level) {
+    SCOPED_TRACE(::testing::Message() << "swapped at level " << level);
+    BddManager mgr(6);
+    std::vector<BddRef> held;
+    for (const std::uint64_t table : rename_pool()) held.push_back(from_table(mgr, table));
+    mgr.swap_adjacent_levels(level);
+    expect_or_all_matches_the_fold(mgr, 0xd1b54a32d192ed03ULL + level);
+  }
+}
+
+TEST(OrAllDifferential, EdgeCasesNeedNoRecursion) {
+  BddManager mgr(4);
+  const BddRef a = mgr.bdd_and(mgr.var(0), mgr.var(1));
+  const BddRef b = mgr.var(2);
+  EXPECT_EQ(mgr.or_all({}).get(), kBddFalse);
+  EXPECT_EQ(mgr.or_all(std::vector<Bdd>{kBddFalse, kBddFalse}).get(), kBddFalse);
+  EXPECT_EQ(mgr.or_all(std::vector<Bdd>{a, kBddTrue}, b).get(), b.get());
+  EXPECT_EQ(mgr.or_all(std::vector<Bdd>{a, a, kBddFalse}).get(), a.get());
+  EXPECT_EQ(mgr.or_all(std::vector<Bdd>{a, b}, kBddFalse).get(), kBddFalse);
+  // The kernel never touches the computed table.
+  const auto lookups = mgr.stats().cache_hits + mgr.stats().cache_misses;
+  const BddRef ab = mgr.or_all(std::vector<Bdd>{a, b}, mgr.var(3));
+  EXPECT_EQ(mgr.stats().cache_hits + mgr.stats().cache_misses, lookups);
+  EXPECT_EQ(ab.get(), mgr.bdd_and(mgr.bdd_or(a, b), mgr.var(3)).get());
+}
+
 TEST(BddManager, SupportVarsMatchTruthTableDependence) {
   // A variable is in the support exactly when flipping it changes the
   // function; the multi-root overload returns the union.

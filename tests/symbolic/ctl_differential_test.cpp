@@ -8,11 +8,15 @@
 // counts there; the per-state loops stay exhaustive through r = 12).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+
 #include "../helpers.hpp"
 #include "../mc/naive_reference.hpp"
 #include "logic/printer.hpp"
 #include "mc/ctl_checker.hpp"
 #include "network/star.hpp"
+#include "symbolic/bdd_store.hpp"
 #include "symbolic/ctl_checker.hpp"
 #include "symbolic/ring_encoding.hpp"
 
@@ -324,6 +328,32 @@ TEST(SymbolicCtl, RegisteredPropWithoutFunctionReadsFalse) {
   const auto explicit_sys = testing::ring_of(4, reg);
   mc::CtlChecker explicit_checker(explicit_sys.structure());
   EXPECT_TRUE(explicit_checker.sat(logic::iatom_val("d", 9)).none());
+}
+
+TEST(SymbolicCtl, FixpointsWithNothingToImageBuildNoRelation) {
+  // A G (one t) is !E[true U !(one t)], whose target is empty on every
+  // ring; E G (c[1] & n[1]) runs over the empty set.  Neither fixpoint has
+  // a state to pre-image, so on a reloaded ring neither builds T & reach.
+  // The verdicts are the explicit engine's (on M_8: these index-1 formulas
+  // read the same in every M_r).
+  auto reg = kripke::make_registry();
+  const auto explicit_ring = testing::ring_of(8, reg);
+  mc::CtlChecker reference(explicit_ring.structure());
+  const SymbolicRing ring = build_symbolic_ring(64, nullptr, reg);
+  static_cast<void>(ring.system->reachable());
+  std::stringstream blob;
+  save_transition_system(*ring.system, blob);
+  const auto loaded = std::make_shared<const TransitionSystem>(
+      load_transition_system(blob, reg));
+  CtlChecker checker(loaded);
+  for (const char* text : {"A G (one t)", "E G (c[1] & n[1])", "!E G (c[1] & n[1])"}) {
+    const auto f = logic::parse_formula(text);
+    EXPECT_EQ(checker.holds_initially(f), reference.holds_initially(f)) << text;
+    EXPECT_FALSE(loaded->reachable_transitions_computed()) << text;
+  }
+  // A fixpoint with states to image builds it.
+  EXPECT_TRUE(checker.holds_initially(logic::parse_formula("E F c[1]")));
+  EXPECT_TRUE(loaded->reachable_transitions_computed());
 }
 
 TEST(SymbolicCtl, MemoKeysOnNodeIdentity) {
