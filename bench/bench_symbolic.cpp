@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -49,6 +50,7 @@ void report_manager_counters(benchmark::State& state,
   state.counters["cache_hit_pct"] =
       lookups > 0 ? 100.0 * static_cast<double>(s.cache_hits) / lookups : 0.0;
   state.counters["cache_evictions"] = static_cast<double>(s.cache_evictions);
+  state.counters["cache_entries"] = static_cast<double>(s.cache_entries);
   state.counters["sift_passes"] = static_cast<double>(s.sift_passes);
   state.counters["sift_swaps"] = static_cast<double>(s.sift_swaps);
   state.counters["gc_runs"] = static_cast<double>(s.gc_runs);
@@ -325,6 +327,42 @@ void BM_SymbolicRestrictedRelation(benchmark::State& state) {
   state.counters["nodes_added"] = static_cast<double>(nodes_added);
 }
 BENCHMARK(BM_SymbolicRestrictedRelation)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
+
+void BM_SymbolicColdCheck(benchmark::State& state) {
+  // One cold liveness query as perfbench's sym_check runs it: every
+  // iteration reloads M_r into a fresh manager and checks P4,
+  // /\i AG(d_i -> AF c_i), with a fresh checker, so the computed table is
+  // sized and filled from nothing each time.  P4 holds on every M_r; a
+  // false verdict is an error, not a number.
+  const auto r = static_cast<std::uint32_t>(state.range(0));
+  const auto ring = symbolic::build_symbolic_ring(r);
+  benchmark::DoNotOptimize(ring.system->num_states());
+  std::ostringstream out;
+  symbolic::save_transition_system(*ring.system, out);
+  const std::string blob = out.str();
+  const auto f = ring::property_eventually_critical();
+  symbolic::BddManager::Stats stats;
+  for (auto _ : state) {
+    std::istringstream in(blob);
+    const auto loaded = std::make_shared<const symbolic::TransitionSystem>(
+        symbolic::load_transition_system(in, ring.system->registry()));
+    symbolic::CtlChecker checker(loaded);
+    const bool holds = checker.holds_initially(f);
+    benchmark::DoNotOptimize(holds);
+    if (!holds) {
+      state.SkipWithError("P4 failed on the reloaded ring");
+      break;
+    }
+    stats = loaded->manager().stats();
+  }
+  // The last query's table: its size and how the lookups fared in it.
+  const double lookups = static_cast<double>(stats.cache_hits + stats.cache_misses);
+  state.counters["cache_entries"] = static_cast<double>(stats.cache_entries);
+  state.counters["cache_lookups"] = lookups;
+  state.counters["cache_hit_pct"] =
+      lookups > 0 ? 100.0 * static_cast<double>(stats.cache_hits) / lookups : 0.0;
+}
+BENCHMARK(BM_SymbolicColdCheck)->Arg(20)->Unit(benchmark::kMillisecond);
 
 void BM_SymbolicReachableWithAutoGc(benchmark::State& state) {
   // The full reachability pipeline with mark-and-sweep armed: transient

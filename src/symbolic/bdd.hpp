@@ -39,9 +39,10 @@
 //   * The computed cache and the rename memo are invalidated epoch-style in
 //     one centralized helper whenever the order changes or a sweep retires
 //     nodes: a retired handle must never come back out of a cache.  The
-//     computed table outlives its manager: a destroyed manager parks it
-//     and the next one starts past its epoch, so no handle of the old
-//     manager can hit in the new one (allocate_cache).  The rename
+//     computed table is lossy, so its size is a policy, not part of
+//     correctness: it is allocated at the first operation that consults
+//     it, small, and grows with the node table (ensure_cache), so a
+//     manager's memory is proportional to what it holds.  The rename
 //     memo's stamps also mark the nodes a walk (support, DAG size, rename's
 //     support pass, a store's record order) has visited, so a walk costs
 //     the nodes it visits.
@@ -109,13 +110,11 @@ struct SatCount {
 class BddManager {
  public:
   /// A manager over `num_vars` boolean variables (more may be appended with
-  /// new_var).  The computed-table cache holds 2^18 entries (2-way
-  /// set-associative with aging, lossy — bounded memory however long a run).
+  /// new_var).  The computed-table cache (2-way set-associative with aging,
+  /// lossy) starts empty, takes 2^12 entries at the first operation that
+  /// consults it and grows with the node table up to 2^18 (ensure_cache):
+  /// bounded memory however long a run.
   explicit BddManager(std::uint32_t num_vars = 0);
-  /// Parks the computed table, with its epoch, for the next manager to
-  /// reuse (one table per process, freed at exit) instead of freeing it;
-  /// see allocate_cache.
-  ~BddManager();
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
 
@@ -305,6 +304,7 @@ class BddManager {
     std::size_t cache_misses = 0;         ///< computed-table miss
     std::size_t cache_evictions = 0;      ///< store displaced a valid entry
     std::size_t cache_invalidations = 0;  ///< epoch bumps (reorders + sweeps)
+    std::size_t cache_entries = 0;        ///< computed-table size, 0 until first use
     std::size_t reorder_hook_calls = 0;   ///< growth-trigger firings
     std::size_t sift_passes = 0;          ///< reorder_now invocations that ran
     std::size_t sift_swaps = 0;           ///< adjacent-level swaps performed
@@ -563,33 +563,17 @@ class BddManager {
   std::vector<std::size_t> var_live_count_;  // live nodes labeled each var
   std::size_t live_nodes_ = 0;
 
-  static constexpr std::uint32_t kCacheLog2 = 18;
-  static constexpr std::size_t kCacheSetMask = (std::size_t{1} << (kCacheLog2 - 1)) - 1;
-
-  /// Allocates the computed table on the first operation that consults
-  /// it: a manager that only loads or builds nodes through make_node (a
-  /// store reload) never pays for faulting in 2^kCacheLog2 entries.
-  void ensure_cache() {
-    if (cache_.empty()) allocate_cache();
-  }
-  /// Takes the table a destroyed manager parked, if there is one, with the
-  /// epoch its entries were last stamped under, and starts one epoch past
-  /// it (advance_cache_epoch): every entry left behind is stale without a
-  /// write to the 7.3 MB table.  Otherwise allocates a zeroed one.  Cold
-  /// managers often run one after another (a checker per query), and a
-  /// freed table stays in glibc's heap once the first one freed has raised
-  /// the dynamic mmap threshold past its size; the next manager's node
-  /// tables then split its hole and its own table lands above them,
-  /// growing the heap by up to that much.  One parked block keeps the peak
-  /// resident set flat.
-  void allocate_cache();
-  /// Swaps (`table`, `epoch`) with the process's parking slot when exactly
-  /// one of the two holds a table: parks `table` in an empty slot, or
-  /// takes the parked table into an empty `table`.
-  static void swap_parked_cache(std::vector<CacheEntry>& table, std::uint32_t& epoch);
+  /// Sizes the computed table for the node table, at the start of every
+  /// public operation that consults it and never mid-recursion: the first
+  /// such operation allocates it (a manager that only loads or builds
+  /// nodes through make_node, a store reload, never has one), and while
+  /// the node slots outgrow the table it doubles, dropping its entries, up
+  /// to a cap.  The policy's constants and their reasons are in bdd.cpp.
+  void ensure_cache();
 
   std::vector<CacheEntry> cache_;  // empty until ensure_cache()
-  std::uint32_t cache_epoch_ = 1;  // set by allocate_cache
+  std::size_t cache_set_mask_ = 0;  // sets - 1 (each set is two entries)
+  std::uint32_t cache_epoch_ = 1;
   std::uint32_t cache_tick_ = 0;
 
   Stats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <optional>
@@ -17,7 +18,7 @@ namespace {
 
 constexpr char kBddMagic[8] = {'I', 'C', 'T', 'L', 'B', 'D', 'D', '\n'};
 constexpr char kSystemMagic[8] = {'I', 'C', 'T', 'L', 'T', 'S', '1', '\n'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
@@ -27,7 +28,62 @@ constexpr std::uint32_t kMaxVars = 1u << 24;
 constexpr std::uint64_t kMaxNodes = (std::uint64_t{1} << 32) - 2;
 constexpr std::uint32_t kMaxNameLen = 1u << 16;
 
-/// Byte sink folding everything written into a running FNV-1a checksum.
+/// The little-endian u32 at `b`.
+std::uint32_t le32(const unsigned char* b) {
+  return static_cast<std::uint32_t>(b[0]) | static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 | static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+/// The little-endian u64 at `b`.
+std::uint64_t le64(const unsigned char* b) {
+  return static_cast<std::uint64_t>(le32(b)) | static_cast<std::uint64_t>(le32(b + 4)) << 32;
+}
+
+/// The store's checksum over a byte stream, however the stream is split
+/// into calls: FNV-1a over 8-byte little-endian words, one serial step per
+/// word instead of per byte, then the 0-7 byte tail as one last word with
+/// its length in the top byte.  Each step multiplies twice with the halves
+/// swapped in between: after one multiply a difference in a word's top bit
+/// stays that one bit, which the next word could cancel.  Every step is a
+/// bijection of the word, so any change confined to one word changes the
+/// sum.
+class Checksum {
+ public:
+  void fold(const unsigned char* p, std::size_t n) {
+    if (fill_ > 0) {  // complete the pending word first
+      const std::size_t take = std::min(n, 8 - fill_);
+      std::memcpy(tail_ + fill_, p, take);
+      fill_ += take;
+      p += take;
+      n -= take;
+      if (fill_ < 8) return;
+      h_ = step(h_, le64(tail_));
+      fill_ = 0;
+    }
+    std::uint64_t h = h_;
+    for (; n >= 8; p += 8, n -= 8) h = step(h, le64(p));
+    h_ = h;
+    std::memcpy(tail_, p, n);
+    fill_ = n;
+  }
+  [[nodiscard]] std::uint64_t sum() const {
+    std::uint64_t last = static_cast<std::uint64_t>(fill_) << 56;
+    for (std::size_t i = 0; i < fill_; ++i)
+      last |= static_cast<std::uint64_t>(tail_[i]) << (8 * i);
+    return step(h_, last);
+  }
+
+ private:
+  static std::uint64_t step(std::uint64_t h, std::uint64_t word) {
+    return std::rotl((h ^ word) * kFnvPrime, 32) * kFnvPrime;
+  }
+
+  std::uint64_t h_ = kFnvOffset;
+  unsigned char tail_[8] = {};
+  std::size_t fill_ = 0;
+};
+
+/// Byte sink folding everything written into a running checksum.
 /// Integers travel explicitly little-endian, independent of host order.
 class Writer {
  public:
@@ -35,7 +91,7 @@ class Writer {
 
   void bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) fnv_ = (fnv_ ^ p[i]) * kFnvPrime;
+    sum_.fold(p, n);
     out_.write(reinterpret_cast<const char*>(p), static_cast<std::streamsize>(n));
   }
   void u32(std::uint32_t v) {
@@ -50,7 +106,7 @@ class Writer {
   }
   /// Writes the checksum accumulated so far (itself excluded from folding).
   void finish() {
-    const std::uint64_t sum = fnv_;
+    const std::uint64_t sum = sum_.sum();
     unsigned char b[8];
     for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(sum >> (8 * i));
     out_.write(reinterpret_cast<const char*>(b), 8);
@@ -59,14 +115,8 @@ class Writer {
 
  private:
   std::ostream& out_;
-  std::uint64_t fnv_ = kFnvOffset;
+  Checksum sum_;
 };
-
-/// The little-endian u32 at `b`.
-std::uint32_t le32(const unsigned char* b) {
-  return static_cast<std::uint32_t>(b[0]) | static_cast<std::uint32_t>(b[1]) << 8 |
-         static_cast<std::uint32_t>(b[2]) << 16 | static_cast<std::uint32_t>(b[3]) << 24;
-}
 
 /// Mirror of Writer: every read is length-checked (truncation is Error, not
 /// garbage) and folded into the same checksum.
@@ -75,22 +125,11 @@ class Reader {
   explicit Reader(std::istream& in) : in_(in) {}
 
   void bytes(void* data, std::size_t n) {
-    unfolded(data, n);
-    fold(static_cast<const unsigned char*>(data), n);
-  }
-  /// bytes() without the fold: the caller folds the same bytes, in order,
-  /// before its next read.  Lets the checksum's serial multiply chain run
-  /// inside a loop that does other work with those bytes.
-  void unfolded(void* data, std::size_t n) {
     in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
     support::require<Error>(
         !in_.fail() && static_cast<std::size_t>(in_.gcount()) == n,
         "bdd_store: truncated stream");
-  }
-  void fold(const unsigned char* p, std::size_t n) {
-    std::uint64_t h = fnv_;
-    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * kFnvPrime;
-    fnv_ = h;
+    sum_.fold(static_cast<const unsigned char*>(data), n);
   }
   std::uint32_t u32() {
     unsigned char b[4];
@@ -100,26 +139,22 @@ class Reader {
   std::uint64_t u64() {
     unsigned char b[8];
     bytes(b, 8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return v;
+    return le64(b);
   }
   /// Reads the stored checksum (unfolded) and compares it to the running one.
   void verify() {
-    const std::uint64_t expected = fnv_;
+    const std::uint64_t expected = sum_.sum();
     unsigned char b[8];
     in_.read(reinterpret_cast<char*>(b), 8);
     support::require<Error>(
         !in_.fail() && static_cast<std::size_t>(in_.gcount()) == 8,
         "bdd_store: truncated stream");
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i) stored |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    support::require<Error>(stored == expected, "bdd_store: checksum mismatch");
+    support::require<Error>(le64(b) == expected, "bdd_store: checksum mismatch");
   }
 
  private:
   std::istream& in_;
-  std::uint64_t fnv_ = kFnvOffset;
+  Checksum sum_;
 };
 
 /// Bytes left between the current position and the end of the stream, or
@@ -235,10 +270,8 @@ LoadedBdds load_bdds(std::istream& in) {
 
   // Every record is read and checked before any node is built, so the
   // manager can size its tables once (make_nodes) instead of growing them
-  // record by record.  Records arrive in chunks, one stream read per chunk
-  // instead of three per record; each record's 12 bytes are folded into
-  // the checksum in the loop that checks them, so the checks run while the
-  // fold's multiply chain is in flight.
+  // record by record.  Records arrive in chunks, one stream read (and one
+  // checksum fold) per chunk instead of three per record.
   std::vector<std::uint32_t> var_level(num_vars);
   for (std::uint32_t l = 0; l < num_vars; ++l) var_level[level2var[l]] = l;
   // The level of each file id, terminals below every variable.
@@ -255,11 +288,10 @@ LoadedBdds load_bdds(std::istream& in) {
   std::vector<unsigned char> chunk(12 * std::min(num_nodes, kChunk));
   for (std::uint64_t first = 0; first < num_nodes; first += kChunk) {
     const std::uint64_t count = std::min(kChunk, num_nodes - first);
-    r.unfolded(chunk.data(), 12 * count);
+    r.bytes(chunk.data(), 12 * count);
     for (std::uint64_t j = 0; j < count; ++j) {
       const std::uint64_t id = 2 + first + j;
       const unsigned char* rec = chunk.data() + 12 * j;
-      r.fold(rec, 12);
       const std::uint32_t var = le32(rec);
       const std::uint32_t low = le32(rec + 4);
       const std::uint32_t high = le32(rec + 8);

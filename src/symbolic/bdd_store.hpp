@@ -6,7 +6,7 @@
 // milliseconds.
 //
 // Format (all integers little-endian):
-//   magic "ICTLBDD\n" (8 bytes) · version u32 · num_vars u32
+//   magic "ICTLBDD\n" (8 bytes) · version u32 (2) · num_vars u32
 //   level2var permutation (num_vars x u32)
 //   node count u64 · root count u32
 //   nodes, children first, densely renumbered (0 = false, 1 = true, first
@@ -14,7 +14,10 @@
 //     earlier ids, so the loader is a single make_node pass and the loaded
 //     store is hash-consed and reduced by construction
 //   roots: name length u32, name bytes, node id u32
-//   FNV-1a checksum u64 over every preceding byte
+//   checksum u64 over every preceding byte: FNV-1a over 8-byte
+//     little-endian words, each step multiplying twice with the halves
+//     swapped in between, then the 0-7 byte tail as one word with its
+//     length in the top byte (version 1 folded single bytes; it is refused)
 //
 // The node set saved is exactly what the roots reach: dead and retired
 // nodes never travel.  Round-trip fidelity: the reloaded roots denote the

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "../helpers.hpp"
 #include "symbolic/bdd.hpp"
+#include "symbolic/bdd_store.hpp"
 #include "symbolic/ring_encoding.hpp"
 #include "symbolic/transition_system.hpp"
 
@@ -47,9 +49,6 @@ struct AuditInjector {
   static void future_cache_epoch(BddManager& m) {
     m.cache_[0].epoch = m.cache_epoch_ + 1;
   }
-  /// Empties entry 0 again: the next manager inherits this table and
-  /// starts one epoch on, where an entry from the future would be valid.
-  static void forget_cache_entry(BddManager& m) { m.cache_[0] = BddManager::CacheEntry{}; }
   static std::uint32_t cache_epoch(const BddManager& m) { return m.cache_epoch_; }
   static void set_cache_epoch(BddManager& m, std::uint32_t epoch) { m.cache_epoch_ = epoch; }
   static void poison_rename_memo(BddManager& m, Bdd key, Bdd value) {
@@ -230,7 +229,6 @@ TEST(BddAudit, DetectsFutureCacheEpoch) {
   const auto report = w.mgr.audit(AuditLevel::kCaches);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(mentions(report, "future epoch"));
-  AuditInjector::forget_cache_entry(w.mgr);
 }
 
 TEST(BddAudit, DetectsStaleRenameMemoEntry) {
@@ -248,7 +246,7 @@ TEST(BddAudit, DetectsStaleRenameMemoEntry) {
   EXPECT_TRUE(mentions(report, "rename memo"));
 }
 
-// ---- The computed table handed from one manager to the next ----
+// ---- One manager's computed table after another's, and the epoch wrap ----
 
 /// Every assignment of variables 0..3 on which f holds, as a 16-bit mask.
 std::uint32_t table4(const BddManager& mgr, Bdd f) {
@@ -268,9 +266,8 @@ constexpr std::uint32_t kNotX2AndX3 = 0x0f00;
 
 TEST(BddCacheHandover, ANewManagersCoincidingHandlesGetNoStaleHit) {
   // The first manager caches x0 & x1 under handles 2 and 3; the second
-  // inherits its table and gives handles 2 and 3 to !x2 and x3.  Its first
-  // conjunction asks the table the very same question, and must miss.
-  std::uint32_t parked_epoch = 0;
+  // gives handles 2 and 3 to !x2 and x3.  Its first conjunction asks the
+  // very same question, and must miss: each manager's table is its own.
   {
     BddManager first(4);
     const BddRef x0 = first.var(0);
@@ -278,7 +275,6 @@ TEST(BddCacheHandover, ANewManagersCoincidingHandlesGetNoStaleHit) {
     ASSERT_EQ(x0.get(), 2u);
     ASSERT_EQ(x1.get(), 3u);
     const BddRef both = first.bdd_and(x0, x1);
-    parked_epoch = AuditInjector::cache_epoch(first);
   }
   BddManager second(4);
   const BddRef not_x2 = second.nvar(2);
@@ -287,7 +283,6 @@ TEST(BddCacheHandover, ANewManagersCoincidingHandlesGetNoStaleHit) {
   ASSERT_EQ(x3.get(), 3u);
   const auto hits = second.stats().cache_hits;
   const BddRef both = second.bdd_and(not_x2, x3);
-  EXPECT_EQ(AuditInjector::cache_epoch(second), parked_epoch + 1);  // inherited
   EXPECT_EQ(second.stats().cache_hits, hits);
   EXPECT_EQ(table4(second, both), kNotX2AndX3);
   EXPECT_TRUE(second.audit(AuditLevel::kCaches).ok());
@@ -319,6 +314,8 @@ TEST(BddCacheHandover, AnEpochAtItsMaximumClearsTheTableAndRestartsAtOne) {
 }
 
 TEST(BddCacheHandover, ATableParkedAtTheMaximumEpochIsClearedOnHandover) {
+  // Whatever epoch the first manager ends at, the second one's table is
+  // its own: it starts at epoch 1 and the coinciding question misses.
   {
     BddManager first(4);
     const BddRef x0 = first.var(0);
@@ -339,6 +336,110 @@ TEST(BddCacheHandover, ATableParkedAtTheMaximumEpochIsClearedOnHandover) {
   EXPECT_EQ(second.stats().cache_hits, hits);
   EXPECT_EQ(table4(second, both), kNotX2AndX3);
   EXPECT_TRUE(second.audit(AuditLevel::kCaches).ok());
+}
+
+// ---- The computed table's size ----
+
+/// x0 & x1, x2 | x3 and x0 ^ x3 over variables 0..3.
+constexpr std::uint32_t kX0AndX1 = 0x8888;
+constexpr std::uint32_t kX2OrX3 = 0xfff0;
+constexpr std::uint32_t kX0XorX3 = 0x55aa;
+
+TEST(BddCacheSizing, AReloadOnlyManagerHasNoTable) {
+  BddManager mgr(6);
+  const BddRef f = mgr.bdd_or(mgr.bdd_and(mgr.var(0), mgr.var(3)),
+                              mgr.bdd_xor(mgr.var(2), mgr.var(5)));
+  std::stringstream stream;
+  const std::vector<std::pair<std::string, Bdd>> roots = {{"f", f}};
+  save_bdds(mgr, stream, roots);
+  const LoadedBdds loaded = load_bdds(stream);
+  // Loading, counting, measuring and saving consult no computed table.
+  const std::vector<std::pair<std::string, Bdd>> reloaded = {{"f", loaded.root("f")}};
+  static_cast<void>(loaded.manager->sat_count_exact(reloaded[0].second));
+  static_cast<void>(loaded.manager->dag_size(reloaded[0].second));
+  std::stringstream again;
+  save_bdds(*loaded.manager, again, reloaded);
+  EXPECT_EQ(loaded.manager->stats().cache_entries, 0u);
+}
+
+TEST(BddCacheSizing, AFreshManagersFirstIteGetsTheFloor) {
+  BddManager mgr(4);
+  const BddRef x0 = mgr.var(0);
+  const BddRef x1 = mgr.var(1);
+  EXPECT_EQ(mgr.stats().cache_entries, 0u);
+  const BddRef both = mgr.bdd_and(x0, x1);
+  EXPECT_EQ(mgr.stats().cache_entries, 4096u);
+  EXPECT_EQ(table4(mgr, both), kX0AndX1);
+}
+
+TEST(BddCacheSizing, AReloadedM128GetsTheRuleSizeOnItsFirstPreImage) {
+  auto reg = kripke::make_registry();
+  const SymbolicRing ring = build_symbolic_ring(128, nullptr, reg);
+  static_cast<void>(ring.system->reachable());
+  std::stringstream stream;
+  save_transition_system(*ring.system, stream);
+  const TransitionSystem loaded = load_transition_system(stream, reg);
+  const BddManager& mgr = loaded.manager();
+  // The relation is built by or_all, which keeps its own memo; the first
+  // operation to consult the table is the pre-image's pair_pre_image,
+  // which sizes it for the slots then allocated: one entry per four.
+  static_cast<void>(loaded.transitions());
+  const std::size_t slots = mgr.num_nodes();
+  EXPECT_GT(slots, 4u * 4096);
+  EXPECT_LE(slots, 4u * 8192);
+  const BddRef pre = loaded.pre_image(loaded.reachable());
+  EXPECT_EQ(mgr.stats().cache_entries, 8192u) << slots << " node slots";
+}
+
+TEST(BddCacheSizing, ALongSequenceDoublesTheTableUpToTheCap) {
+  // 256 rooted nodes on variables 7-9, then batches of nodes on variable 6
+  // over pairs of them, each batch swept before the next (a retired
+  // triple's slot is never reused, so rebuilding it takes a fresh one).
+  // One ITE after each batch sizes the table for the slots allocated so
+  // far.  A batch adds at most the table's size in slots, so the table
+  // passes through every size from the floor to the cap.
+  BddManager mgr(10);
+  std::vector<BddRef> pool = {BddRef(mgr, kBddFalse), BddRef(mgr, kBddTrue)};
+  for (std::uint32_t v = 9; v >= 7; --v) {
+    const std::size_t n = pool.size();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        if (i != j) pool.emplace_back(mgr, mgr.make_node(v, pool[i], pool[j]));
+  }
+  ASSERT_EQ(pool.size(), 256u);
+  const BddRef x0 = mgr.var(0);
+  const BddRef x1 = mgr.var(1);
+  const BddRef x2 = mgr.var(2);
+  const BddRef x3 = mgr.var(3);
+  std::vector<std::size_t> sizes;
+  while (mgr.num_nodes() <= 4 * (std::size_t{1} << 18) + 65536) {
+    {
+      // Node k pairs pool[i] with pool[i + 1 + k / 256], i = k % 256: all
+      // distinct triples while k < 255 * 256.
+      const auto scope = mgr.protect_scope();
+      const std::size_t batch =
+          std::clamp<std::size_t>(mgr.stats().cache_entries, 4096, 32768);
+      for (std::size_t k = 0; k < batch; ++k) {
+        const std::size_t i = k % 256;
+        static_cast<void>(mgr.make_node(6, pool[i], pool[(i + 1 + k / 256) % 256]));
+      }
+    }
+    ASSERT_GT(mgr.garbage_collect(), 0u);
+    const BddRef both = mgr.bdd_and(x0, x1);
+    if (!sizes.empty() && sizes.back() == mgr.stats().cache_entries) continue;
+    sizes.push_back(mgr.stats().cache_entries);
+    SCOPED_TRACE(::testing::Message() << mgr.stats().cache_entries << " entries, "
+                                      << mgr.num_nodes() << " node slots");
+    EXPECT_TRUE(mgr.audit(AuditLevel::kCaches).ok());
+    EXPECT_EQ(table4(mgr, both), kX0AndX1);
+    EXPECT_EQ(table4(mgr, mgr.bdd_or(x2, x3)), kX2OrX3);
+    EXPECT_EQ(table4(mgr, mgr.bdd_xor(x0, x3)), kX0XorX3);
+  }
+  const std::vector<std::size_t> doublings = {4096,  8192,  16384, 32768,
+                                              65536, 131072, 262144};
+  EXPECT_EQ(sizes, doublings);
+  EXPECT_GT(mgr.num_nodes(), 4 * (std::size_t{1} << 18));
+  EXPECT_TRUE(mgr.audit(AuditLevel::kCaches).ok());
 }
 
 // ---- Tier 4: counts ----

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -94,11 +95,32 @@ TEST(BddStore, SaveIsDeterministic) {
   EXPECT_EQ(a.str(), b.str());
 }
 
+/// The store's checksum over a whole blob at once: FNV-1a over its 8-byte
+/// little-endian words, each step h = rotl((h ^ w) * p, 32) * p, then the
+/// 0-7 byte tail as one last word with its length in the top byte.
+std::uint64_t store_checksum(const std::string& blob) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  const auto step = [&](std::uint64_t h, std::uint64_t word) {
+    return std::rotl((h ^ word) * kPrime, 32) * kPrime;
+  };
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const std::size_t words = blob.size() / 8;
+  for (std::size_t k = 0; k <= words; ++k) {
+    const std::size_t len = k < words ? 8 : blob.size() % 8;
+    std::uint64_t word = k < words ? 0 : static_cast<std::uint64_t>(len) << 56;
+    for (std::size_t i = 0; i < len; ++i)
+      word |= static_cast<std::uint64_t>(static_cast<unsigned char>(blob[8 * k + i]))
+              << (8 * i);
+    h = step(h, word);
+  }
+  return h;
+}
+
 /// The store writer as it was before it numbered nodes through the DAG
 /// walk: a postorder DFS per root (low before high) into a handle-keyed
-/// map, each record written as three little-endian u32s, all folded into
-/// the FNV-1a checksum.  The reference the current writer must match byte
-/// for byte.
+/// map, each record written as three little-endian u32s, the checksum of
+/// everything before it at the end.  The reference the current writer
+/// must match byte for byte.
 std::string map_dfs_store(const BddManager& mgr,
                           const std::vector<std::pair<std::string, Bdd>>& roots) {
   std::unordered_map<Bdd, std::uint32_t> file_id = {{kBddFalse, 0}, {kBddTrue, 1}};
@@ -123,10 +145,7 @@ std::string map_dfs_store(const BddManager& mgr,
     }
   }
   std::string out;
-  std::uint64_t fnv = 0xcbf29ce484222325ULL;
   const auto bytes = [&](const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) fnv = (fnv ^ p[i]) * 0x100000001b3ULL;
     out.append(static_cast<const char*>(data), n);
   };
   const auto le = [&](std::uint64_t v, int width) {
@@ -135,7 +154,7 @@ std::string map_dfs_store(const BddManager& mgr,
     bytes(b, static_cast<std::size_t>(width));
   };
   bytes("ICTLBDD\n", 8);
-  le(1, 4);  // version
+  le(2, 4);  // version
   le(mgr.num_vars(), 4);
   for (const std::uint32_t v : mgr.current_order()) le(v, 4);
   le(records.size(), 8);
@@ -147,7 +166,7 @@ std::string map_dfs_store(const BddManager& mgr,
     bytes(name.data(), name.size());
     le(file_id.at(root), 4);
   }
-  const std::uint64_t sum = fnv;
+  const std::uint64_t sum = store_checksum(out);
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(sum >> (8 * i)));
   return out;
 }
@@ -248,6 +267,31 @@ void patch_le(std::string& blob, std::size_t at, T value) {
   ASSERT_LE(at + sizeof(T), blob.size());
   for (std::size_t i = 0; i < sizeof(T); ++i)
     blob[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+TEST(BddStore, VersionOneStoresAreRefused) {
+  // Version 1 checksummed single bytes; its blobs fail on the version field
+  // with a typed error before any checksum is compared.
+  auto reg = kripke::make_registry();
+  const SymbolicRing ring = build_symbolic_ring(3, nullptr, reg);
+  std::stringstream stream;
+  save_transition_system(*ring.system, stream);
+  const std::string blob = stream.str();
+  // Each section's version follows its 8-byte magic.
+  const std::size_t bdds_at = blob.find("ICTLBDD\n");
+  ASSERT_NE(bdds_at, std::string::npos);
+  for (const std::size_t at : {std::size_t{8}, bdds_at + 8}) {
+    std::string old = blob;
+    patch_le<std::uint32_t>(old, at, 1);
+    std::stringstream in(old);
+    try {
+      static_cast<void>(load_transition_system(in, reg));
+      FAIL() << "a version-1 field at offset " << at << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported store version 1"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(BddStore, AllocationBombHeadersAreRejectedBeforeReserving) {
@@ -433,12 +477,10 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
 std::string system_header(std::uint32_t num_state_vars, std::uint32_t num_parts,
                           std::uint32_t kind = 0) {
   std::string header = "ICTLTS1\n";
-  for (const std::uint32_t field : {1u, num_state_vars, kind, num_parts, 0u, 0u, 0u})
+  for (const std::uint32_t field : {2u, num_state_vars, kind, num_parts, 0u, 0u, 0u})
     for (int i = 0; i < 4; ++i) header.push_back(static_cast<char>(field >> (8 * i)));
-  std::uint64_t fnv = 0xcbf29ce484222325ULL;  // FNV-1a, as the store writes it
-  for (const char c : header)
-    fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  for (int i = 0; i < 8; ++i) header.push_back(static_cast<char>(fnv >> (8 * i)));
+  const std::uint64_t sum = store_checksum(header);
+  for (int i = 0; i < 8; ++i) header.push_back(static_cast<char>(sum >> (8 * i)));
   return header;
 }
 
