@@ -6,7 +6,6 @@
 #include "bisim/stuttering.hpp"
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 #include "support/bitset.hpp"
 #include "support/error.hpp"
 
@@ -298,7 +297,6 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
     while (num_dirty != 0) {
       ++result.iterations;
       rt::charge_iteration("bisim/degree_fixpoint");
-      ICTL_FAILPOINT("bisim/degree_round");
       for (std::size_t w = 0; w < dirty.size(); ++w) {
         std::uint64_t ahead = ~std::uint64_t{0};  // bits of word w not yet swept
         while ((dirty[w] & ahead) != 0) {

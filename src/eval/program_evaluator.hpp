@@ -22,7 +22,6 @@
 #include "eval/state_set_ops.hpp"
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 #include "support/error.hpp"
 
 namespace ictl::eval {
@@ -52,7 +51,6 @@ class ProgramEvaluator {
       // The fixpoint opcodes additionally checkpoint per iteration inside
       // the backend eu/eg loops.
       rt::checkpoint("eval/program");
-      ICTL_FAILPOINT("eval/instruction");
       const auto op_index = static_cast<std::size_t>(in.op);
       ++stats_.op_count[op_index];
       if constexpr (obs::kCompiledIn) {

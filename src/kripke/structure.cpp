@@ -106,11 +106,6 @@ void StructureBuilder::set_index_set(std::vector<std::uint32_t> indices) {
   indices_ = std::move(indices);
 }
 
-void StructureBuilder::add_prop(StateId s, PropId p) {
-  support::require<ModelError>(s < states_.size(), "add_prop: unknown state id");
-  states_[s].props.push_back(p);
-}
-
 Structure StructureBuilder::build(BuildOptions options) && {
   support::require<ModelError>(initial_ != kNoState,
                                "build: no initial state was set");

@@ -139,9 +139,6 @@ class StructureBuilder {
   void set_name(StateId s, std::string name);
   void set_index_set(std::vector<std::uint32_t> indices);
 
-  /// Adds proposition `p` to the label of an existing state.
-  void add_prop(StateId s, PropId p);
-
   [[nodiscard]] std::size_t num_states() const noexcept { return states_.size(); }
 
   /// Validates and produces the structure.  Throws ModelError when no initial

@@ -94,12 +94,6 @@ bool uses_nexttime(const FormulaPtr& f) {
   return any_node(f, [](const Formula& n) { return n.kind() == Kind::kNext; });
 }
 
-bool uses_index_quantifier(const FormulaPtr& f) {
-  return any_node(f, [](const Formula& n) {
-    return n.kind() == Kind::kForallIndex || n.kind() == Kind::kExistsIndex;
-  });
-}
-
 std::size_t index_quantifier_depth(const FormulaPtr& f) {
   if (f == nullptr) return 0;
   const std::size_t below =

@@ -31,9 +31,6 @@ namespace ictl::logic {
 /// True when the formula mentions the (excluded) nexttime operator.
 [[nodiscard]] bool uses_nexttime(const FormulaPtr& f);
 
-/// True when the formula contains /\i or \/i.
-[[nodiscard]] bool uses_index_quantifier(const FormulaPtr& f);
-
 /// Maximal nesting depth of index quantifiers (0 = none).  Section 6
 /// conjectures that formulas of depth at most k cannot distinguish free
 /// products of more than k identical processes.

@@ -2,7 +2,6 @@
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 #include "support/error.hpp"
 
 namespace ictl::mc {
@@ -77,12 +76,11 @@ Set ExplicitStateOps::eu(const Set& f, const Set& g) {
   g.for_each([&](std::size_t s) {
     worklist_.push_back(static_cast<kripke::StateId>(s));
   });
-  ICTL_FAILPOINT("mc/eu");
   std::size_t head = 0;
   while (head < worklist_.size()) {
-    // Batched budget checkpoint: one pop is a handful of loads, so the
-    // deadline/work check amortizes over 4096 of them.
-    if ((head & 0xfff) == 0) rt::charge_work(0x1000, "mc/eu_fixpoint");
+    // Batched checkpoint, the loop's entry one at head 0: one pop is a
+    // handful of loads, so the deadline/work check amortizes over 4096.
+    if ((head & 0xfff) == 0) rt::checkpoint("mc/eu_fixpoint", 0x1000);
     const kripke::StateId s = worklist_[head++];
     for (const kripke::StateId p : m_.predecessors(s)) {
       if (!result.test(p) && f.test(p)) {
@@ -116,10 +114,9 @@ Set ExplicitStateOps::eg(const Set& f) {
   });
   // Seed removals after the counting scan so every count is exact w.r.t. f.
   for (const kripke::StateId s : worklist_) x.reset(s);
-  ICTL_FAILPOINT("mc/eg");
   std::size_t head = 0;
   while (head < worklist_.size()) {
-    if ((head & 0xfff) == 0) rt::charge_work(0x1000, "mc/eg_fixpoint");
+    if ((head & 0xfff) == 0) rt::checkpoint("mc/eg_fixpoint", 0x1000);
     const kripke::StateId s = worklist_[head++];
     for (const kripke::StateId p : m_.predecessors(s)) {
       // Invariant: states in x have count > 0, so the decrement is safe.

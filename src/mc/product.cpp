@@ -99,7 +99,7 @@ DynamicBitset exists_fair_path(const kripke::Structure& m, const Gba& gba,
   for (std::uint32_t id = 0; id < g.nodes.size(); ++id) worklist.push_back(id);
   std::uint64_t pops = 0;
   while (!worklist.empty()) {
-    if ((++pops & 0xfff) == 0) rt::charge_work(0x1000, "mc/product");
+    if ((++pops & 0xfff) == 0) rt::checkpoint("mc/product", 0x1000);
     const std::uint32_t id = worklist.back();
     worklist.pop_back();
     const auto [s, q] = g.nodes[id];

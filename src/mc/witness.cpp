@@ -29,7 +29,7 @@ std::optional<std::vector<StateId>> bfs_until(const kripke::Structure& m,
   parent[start] = start;
   std::uint64_t pops = 0;
   while (!frontier.empty()) {
-    if ((++pops & 0xfff) == 0) rt::charge_work(0x1000, "mc/witness_bfs");
+    if ((++pops & 0xfff) == 0) rt::checkpoint("mc/witness_bfs", 0x1000);
     const StateId s = frontier.front();
     frontier.pop();
     for (const StateId t : m.successors(s)) {

@@ -43,24 +43,8 @@ ExplicitRingCorrespondence::ExplicitRingCorrespondence(const RingSystem& a,
 bisim::Theorem5Certificate explicit_ring_certificate(const RingSystem& base,
                                                      const RingSystem& target,
                                                      bisim::FindOptions options) {
-  bisim::Theorem5Certificate cert;
-  cert.valid = true;
-  cert.in_relation = ring_index_relation(base.size(), target.size());
-  for (const bisim::IndexPair& p : cert.in_relation) {
-    const bisim::IndexedFindResult found = bisim::find_indexed_correspondence(
-        base.structure(), target.structure(), p.i, p.i2, options);
-    if (!found.corresponds()) {
-      cert.valid = false;
-      cert.notes.push_back("no (" + std::to_string(p.i) + "," + std::to_string(p.i2) +
-                           ")-correspondence exists between M_" +
-                           std::to_string(base.size()) + " and M_" +
-                           std::to_string(target.size()));
-      cert.initial_degrees.push_back(bisim::kNoDegree);
-      continue;
-    }
-    cert.initial_degrees.push_back(found.initial_degree());
-  }
-  return cert;
+  return bisim::certify_theorem5(base.structure(), target.structure(),
+                                 ring_index_relation(base.size(), target.size()), options);
 }
 
 bisim::Theorem5Certificate analytic_ring_certificate(std::uint32_t r) {

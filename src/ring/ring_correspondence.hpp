@@ -75,6 +75,7 @@ class ExplicitRingCorrespondence {
 };
 
 /// Mechanically certified Theorem 5 evidence between two explicit rings:
+/// bisim::certify_theorem5 over ring_index_relation(base, target), which
 /// runs the generic Section 3 decision procedure on every IN pair.
 /// Succeeds iff min(size) >= 3 or the sizes are equal.
 [[nodiscard]] bisim::Theorem5Certificate explicit_ring_certificate(

@@ -62,7 +62,10 @@ bool ResourceBudget::interrupt_pending() const {
   return limits_.deadline_ns != 0 && elapsed_ns() >= limits_.deadline_ns;
 }
 
-void ResourceBudget::check_deadline(const char* phase) const {
+void ResourceBudget::checkpoint(const char* phase, std::uint64_t units) {
+  work_ += units;
+  if (limits_.work_cap != 0 && work_ > limits_.work_cap)
+    trip(BudgetKind::kWork, phase);
   if (token_.cancelled()) {
     ICTL_COUNT("rt", "cancellations");
     throw Interrupted(std::string("interrupted: cancellation requested (phase ") +
@@ -72,25 +75,11 @@ void ResourceBudget::check_deadline(const char* phase) const {
     trip(BudgetKind::kWallClock, phase);
 }
 
-void ResourceBudget::checkpoint(const char* phase) {
-  ++work_;
-  if (limits_.work_cap != 0 && work_ > limits_.work_cap)
-    trip(BudgetKind::kWork, phase);
-  check_deadline(phase);
-}
-
 void ResourceBudget::charge_iteration(const char* phase) {
   ++iterations_;
   if (limits_.iteration_cap != 0 && iterations_ > limits_.iteration_cap)
     trip(BudgetKind::kIterations, phase);
   checkpoint(phase);
-}
-
-void ResourceBudget::charge_work(std::uint64_t units, const char* phase) {
-  work_ += units;
-  if (limits_.work_cap != 0 && work_ > limits_.work_cap)
-    trip(BudgetKind::kWork, phase);
-  check_deadline(phase);
 }
 
 void ResourceBudget::trip(BudgetKind kind, const char* phase) const {

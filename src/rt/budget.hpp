@@ -6,13 +6,13 @@
 // a cumulative fixpoint-iteration cap, and an abstract work cap — plus a
 // CancellationToken another thread (or a signal handler trampoline) may
 // flip.  Engines never poll the budget directly: they call the free
-// checkpoint helpers below, which consult the budget installed by the
-// innermost BudgetScope and are a single predictable branch when none is
-// installed.  A tripped checkpoint throws the typed errors declared here
-// (ictl::Interrupted for cancellation, ictl::BudgetExceeded for a limit),
-// always from a point where every manager and checker is consistent and
-// reusable — the budget-trip stress suite re-runs the same query after a
-// trip and demands the correct answer.
+// checkpoint helpers below, which first hit an armed failpoint of the same
+// phase (rt/failpoint.hpp) and then consult the budget installed by the
+// innermost BudgetScope.  A tripped checkpoint throws the typed errors
+// declared here (ictl::Interrupted for cancellation or a failpoint,
+// ictl::BudgetExceeded for a limit), always from a point where every
+// manager and checker is consistent and reusable — the budget-trip stress
+// suite re-runs the same query after a trip and demands the correct answer.
 //
 // Checkpoint discipline mirrors the BddManager's deferred-maintenance rule:
 // checkpoints sit at iteration boundaries of public loops, never inside
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "rt/failpoint.hpp"
 #include "support/error.hpp"
 
 namespace ictl {
@@ -118,18 +119,15 @@ class ResourceBudget {
   explicit ResourceBudget(BudgetLimits limits,
                           CancellationToken token = CancellationToken());
 
-  /// Deadline/cancellation checkpoint plus one unit of work.  Throws
-  /// Interrupted when the token is cancelled, BudgetExceeded when the
-  /// deadline or the work cap tripped.
-  void checkpoint(const char* phase);
+  /// Deadline/cancellation checkpoint charging `units` of work (tight
+  /// worklist loops check every few thousand pops and charge them at
+  /// once).  Throws Interrupted when the token is cancelled,
+  /// BudgetExceeded when the deadline or the work cap tripped.
+  void checkpoint(const char* phase, std::uint64_t units = 1);
 
   /// checkpoint() that additionally counts one fixpoint iteration against
   /// the iteration cap.  Call once per iteration of every fixpoint loop.
   void charge_iteration(const char* phase);
-
-  /// checkpoint() charging `units` of work at once — the batched form for
-  /// tight worklist loops that check every few thousand pops.
-  void charge_work(std::uint64_t units, const char* phase);
 
   /// Non-throwing poll: has the deadline passed or the token been
   /// cancelled?  For loops (sift passes) that must restore invariants
@@ -154,8 +152,6 @@ class ResourceBudget {
   [[nodiscard]] std::uint64_t elapsed_ns() const;
 
  private:
-  void check_deadline(const char* phase) const;
-
   BudgetLimits limits_;
   CancellationToken token_;
   std::uint64_t start_ns_ = 0;
@@ -184,18 +180,19 @@ class BudgetScope {
   ResourceBudget* prev_;
 };
 
-/// Free checkpoint helpers: no-ops (one load + branch) when no budget is
-/// installed.  These are what the engine loops call.
-inline void checkpoint(const char* phase) {
-  if (ResourceBudget* b = current_budget()) b->checkpoint(phase);
+/// The one interruption point the engine loops call.  It hits an armed
+/// failpoint named `phase`, with or without a budget, and then charges
+/// `units` of work to the installed budget.  With nothing armed and no
+/// budget installed it is two loads and two never-taken branches.
+inline void checkpoint(const char* phase, std::uint64_t units = 1) {
+  if (detail::g_failpoints_armed) [[unlikely]] detail::failpoint_hit(phase);
+  if (ResourceBudget* b = current_budget()) b->checkpoint(phase, units);
 }
 
+/// checkpoint(phase) that also counts one fixpoint iteration.
 inline void charge_iteration(const char* phase) {
+  if (detail::g_failpoints_armed) [[unlikely]] detail::failpoint_hit(phase);
   if (ResourceBudget* b = current_budget()) b->charge_iteration(phase);
-}
-
-inline void charge_work(std::uint64_t units, const char* phase) {
-  if (ResourceBudget* b = current_budget()) b->charge_work(units, phase);
 }
 
 /// Non-throwing poll of the installed budget (false when none).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,7 +49,7 @@ void failpoint_hit(const char* name) {
 }  // namespace detail
 
 void arm_failpoint(std::string_view name, std::uint64_t skip) {
-  if (!kFailpointsCompiledIn || name.empty()) return;
+  if (name.empty()) return;
   armed_map()[std::string(name)] = skip;
   detail::g_failpoints_armed = true;
 }
@@ -82,7 +83,11 @@ bool arm_failpoints_from_spec(std::string_view spec) {
       if (digits.empty()) return false;
       for (const char c : digits) {
         if (c < '0' || c > '9') return false;
-        skip = skip * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        // A skip past 2^64 - 1 is malformed, like an out-of-range cap.
+        if (skip > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
+          return false;
+        skip = skip * 10 + digit;
       }
       item = item.substr(0, at);
       if (item.empty()) return false;

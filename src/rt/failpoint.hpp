@@ -1,24 +1,22 @@
-// Deterministic fault injection: named failpoints compiled into the
-// engines' checkpoint sites, disarmed by default, and armed per-name from
-// tests, the CLI, or the ICTL_FAILPOINT environment variable.  A tripped
-// failpoint throws ictl::Interrupted from exactly the program point named —
-// the tool that proves a budget trip (which throws from the same sites)
-// leaves every manager consistent, reusable, and audit-clean.
+// Deterministic fault injection: a failpoint is a checkpoint phase armed to
+// throw.  Every rt::checkpoint(phase) and rt::charge_iteration(phase) hits
+// an armed failpoint of the same name before it charges the installed
+// budget, and also when no budget is installed, so each phase an engine
+// checkpoints can be made to throw ictl::Interrupted from exactly that
+// program point — the tool that proves a budget trip (which throws from the
+// same points) leaves every manager consistent, reusable, and audit-clean.
 //
-// Cost model, copied from the obs macros:
-//   * compiled out (-DICTL_FAILPOINTS=OFF): ICTL_FAILPOINT(name) expands to
-//     static_cast<void>(0) — zero runtime, zero data, builds clean under
-//     -Werror;
-//   * compiled in, disarmed (the default): one load of a global bool and a
-//     never-taken branch;
-//   * armed: a map lookup per hit on the named sites until the trigger
-//     fires, then the failpoint disarms itself (one-shot) and throws.
+// Cost: disarmed (the default), one load of a global bool and a never-taken
+// branch inside the checkpoint; armed, a map lookup per checkpoint until
+// the trigger fires, then the failpoint disarms itself (one-shot) and
+// throws.
 //
-// Arming forms (programmatic arm_failpoint, or a spec string from the env
-// var / ictl_check --failpoint=):
-//   "sym/eu_iter"      trip on the first hit
-//   "sym/eu_iter@7"    skip 7 hits, trip on the 8th
-//   "a@2,b"            comma-separated list arms several at once
+// Arming forms (programmatic arm_failpoint, or a spec string from the
+// ICTL_FAILPOINT environment variable / ictl_check --failpoint=):
+//   "sym/eu_fixpoint"      trip on the first hit
+//   "sym/eu_fixpoint@7"    skip 7 hits, trip on the 8th
+//   "a@2,b"                comma-separated list arms several at once
+// A skip is a decimal integer below 2^64.
 #pragma once
 
 #include <cstddef>
@@ -27,27 +25,20 @@
 
 namespace ictl::rt {
 
-/// True when the ICTL_FAILPOINTS gate compiled the hooks in.  Tests that
-/// need a failpoint to fire GTEST_SKIP on the compiled-out configuration.
-#if defined(ICTL_FAILPOINTS)
-inline constexpr bool kFailpointsCompiledIn = true;
-#else
-inline constexpr bool kFailpointsCompiledIn = false;
-#endif
-
 namespace detail {
 /// True while at least one failpoint is armed — the fast-path guard the
-/// ICTL_FAILPOINT macro reads before paying for a lookup.
+/// checkpoints read before paying for a lookup.
 extern bool g_failpoints_armed;
 
-/// Slow path behind the macro: looks `name` up among the armed failpoints,
-/// decrements its skip count, and throws ictl::Interrupted when it fires.
+/// Slow path behind the checkpoints: looks `name` up among the armed
+/// failpoints, decrements its skip count, and throws ictl::Interrupted when
+/// it fires.
 void failpoint_hit(const char* name);
 }  // namespace detail
 
-/// Arms `name`: the (skip + 1)-th ICTL_FAILPOINT(name) hit throws
+/// Arms `name`: the (skip + 1)-th checkpoint of phase `name` throws
 /// ictl::Interrupted and disarms it (one-shot).  Re-arming an armed name
-/// resets its skip count.  No-op when compiled out.
+/// resets its skip count.
 void arm_failpoint(std::string_view name, std::uint64_t skip = 0);
 
 /// Disarms everything (tests call this in TearDown for hygiene; a fired
@@ -58,9 +49,10 @@ void disarm_failpoints();
 [[nodiscard]] std::size_t armed_failpoints();
 
 /// Parses an arming spec ("name", "name@N", comma-separated) and arms each
-/// entry.  Returns false (arming nothing) on a malformed spec.  This is the
-/// one parser behind both the ICTL_FAILPOINT environment variable and the
-/// ictl_check --failpoint= flag.
+/// entry.  Returns false (arming nothing) on a malformed spec, a skip of
+/// 2^64 or more included.  This is the one parser behind both the
+/// ICTL_FAILPOINT environment variable and the ictl_check --failpoint=
+/// flag.
 bool arm_failpoints_from_spec(std::string_view spec);
 
 /// arm_failpoints_from_spec(getenv("ICTL_FAILPOINT")); false when unset.
@@ -68,18 +60,3 @@ bool arm_failpoints_from_spec(std::string_view spec);
 bool arm_failpoints_from_env();
 
 }  // namespace ictl::rt
-
-#if defined(ICTL_FAILPOINTS)
-
-/// Names a fault-injection site.  `name` must be a string literal.
-#define ICTL_FAILPOINT(name)                                              \
-  do {                                                                    \
-    if (::ictl::rt::detail::g_failpoints_armed)                           \
-      ::ictl::rt::detail::failpoint_hit((name));                          \
-  } while (false)
-
-#else  // !defined(ICTL_FAILPOINTS)
-
-#define ICTL_FAILPOINT(name) static_cast<void>(0)
-
-#endif  // defined(ICTL_FAILPOINTS)

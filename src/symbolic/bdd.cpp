@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <tuple>
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 
 namespace ictl::symbolic {
 
@@ -522,10 +520,10 @@ std::size_t BddManager::garbage_collect() {
     gc_pending_ = true;  // deferred: runs when the scope closes
     return 0;
   }
-  // The failpoint sits below the deferral guard and above the first
+  // The checkpoint sits below the deferral guard and above the first
   // mutation: a throw here proves unwinding through every caller of a
   // (possibly auto-triggered) sweep leaves the manager untouched.
-  ICTL_FAILPOINT("bdd/gc");
+  rt::checkpoint("bdd/gc");
   // The span sits below the deferral guard: a deferred GC did no work and
   // must not pollute the gc_sweep timing distribution.
   ICTL_PROFILE("bdd", "gc_sweep");
@@ -543,7 +541,7 @@ std::size_t BddManager::garbage_collect() {
       rehash_subtable(t, target);
     }
   // Cache entries may hold retired operands or results; a post-sweep hit on
-  // one would hand out a zombie.  Epoch-invalidate — the one choke point.
+  // one would hand out a zombie.  Invalidate — the one choke point.
   invalidate_operation_caches();
 #ifdef ICTL_AUDIT
   assert_audit(AuditLevel::kFull, "garbage_collect");
@@ -558,8 +556,8 @@ namespace {
 // The computed table's sizing policy (ensure_cache): the least power of two
 // with at least one entry per kSlotsPerCacheEntry node slots, within
 // [kCacheFloor, kCacheCap].  A cold query's manager holds about 2k-50k
-// slots, so it gets 4k-16k entries (112-448 KB of 28-byte entries) that
-// stay in a per-core L2, where the fixed 2^18-entry table (7.3 MB) made
+// slots, so it gets 4k-16k entries (96-384 KB of 24-byte entries) that
+// stay in a per-core L2, where the fixed 2^18-entry table (6.3 MB) made
 // most first touches a miss to memory.  Measured on traced perfbench
 // `symbolic` runs (same seed, 25 s each, per query): this policy cut
 // eval.eval_ms 0.58 -> 0.50 and symbolic.reach_ms 0.35 -> 0.29; one entry
@@ -579,21 +577,11 @@ void BddManager::ensure_cache() {
       kCacheFloor, kCacheCap);
   if (cache_.size() >= wanted) return;
   // Drop the old table before allocating the new one, so the two never
-  // coexist.  Every new entry carries epoch 0, which no current epoch
-  // equals, so the epoch itself stays.
+  // coexist.  Every new entry is empty.
   std::vector<CacheEntry>().swap(cache_);
   cache_.resize(wanted);
   cache_set_mask_ = wanted / 2 - 1;
   stats_.cache_entries = wanted;
-}
-
-void BddManager::advance_cache_epoch() {
-  if (cache_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(cache_.begin(), cache_.end(), CacheEntry{});
-    cache_epoch_ = 1;
-  } else {
-    ++cache_epoch_;
-  }
 }
 
 std::size_t BddManager::cache_set(Op op, Bdd a, Bdd b, Bdd c) const {
@@ -607,7 +595,7 @@ bool BddManager::cache_lookup(Op op, Bdd a, Bdd b, Bdd c, Bdd& out) {
   const std::size_t base = cache_set(op, a, b, c);
   for (std::size_t i = base; i < base + 2; ++i) {
     CacheEntry& e = cache_[i];
-    if (e.epoch == cache_epoch_ && e.op == op && e.a == a && e.b == b && e.c == c) {
+    if (e.op == op && e.a == a && e.b == b && e.c == c) {
       ++stats_.cache_hits;
       e.used = ++cache_tick_;
       out = e.result;
@@ -620,26 +608,26 @@ bool BddManager::cache_lookup(Op op, Bdd a, Bdd b, Bdd c, Bdd& out) {
 
 void BddManager::cache_store(Op op, Bdd a, Bdd b, Bdd c, Bdd result) {
   const std::size_t base = cache_set(op, a, b, c);
-  // 2-way with aging: fill an invalid way first, else evict the one whose
+  // 2-way with aging: fill an empty way first, else evict the one whose
   // last use is older.
   std::size_t victim = base;
-  if (cache_[base].epoch == cache_epoch_) {
-    if (cache_[base + 1].epoch != cache_epoch_ ||
-        cache_[base + 1].used < cache_[base].used)
+  if (cache_[base].op != Op::kNone) {
+    if (cache_[base + 1].op == Op::kNone || cache_[base + 1].used < cache_[base].used)
       victim = base + 1;
   }
-  if (cache_[victim].epoch == cache_epoch_ && cache_[victim].op != Op::kNone)
-    ++stats_.cache_evictions;
-  cache_[victim] = CacheEntry{op, a, b, c, result, cache_epoch_, ++cache_tick_};
+  if (cache_[victim].op != Op::kNone) ++stats_.cache_evictions;
+  cache_[victim] = CacheEntry{op, a, b, c, result, ++cache_tick_};
 }
 
 void BddManager::invalidate_operation_caches() {
   // The one choke point for cache invalidation: everything keyed on node
   // identity across calls — the computed table and the rename memo — is
-  // epoch-invalidated here, and every order-changing or node-retiring path
-  // calls this.  With scoped lifetimes this is load-bearing, not
+  // invalidated here, and every order-changing or node-retiring path calls
+  // this.  With scoped lifetimes this is load-bearing, not
   // defense-in-depth: a retired handle must never come back out of a cache.
-  advance_cache_epoch();
+  // The table is sized to the manager (ensure_cache), so a clear costs at
+  // most its 2^18 entries, once per sweep, sift pass or adjacent swap.
+  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
   ++rename_epoch_;
   ++stats_.cache_invalidations;
 }
@@ -1268,7 +1256,7 @@ std::size_t BddManager::reorder_now() {
   support::require<Error>(sifts_in_pairs(*this),
                           std::string("BddManager::reorder_now") + kNotInPairs);
   // Above in_reorder_: a throw must not leave the flag stuck.
-  ICTL_FAILPOINT("bdd/reorder");
+  rt::checkpoint("bdd/reorder");
   in_reorder_ = true;
   ICTL_PROFILE_ARG("bdd", "sift_pass", "live_nodes", live_nodes_);
   ++stats_.sift_passes;
@@ -1603,14 +1591,7 @@ void BddManager::audit_caches(AuditReport& report) const {
   };
   for (std::size_t i = 0; i < cache_.size(); ++i) {
     const CacheEntry& e = cache_[i];
-    if (e.epoch > cache_epoch_) {
-      // A future epoch would spontaneously validate after the next
-      // invalidation bump — worse than stale, it is a time bomb.
-      fail(report, "caches: computed-table entry " + std::to_string(i) +
-                       " stamped with a future epoch");
-      continue;
-    }
-    if (e.epoch != cache_epoch_ || e.op == Op::kNone) continue;
+    if (e.op == Op::kNone) continue;
     for (const Bdd operand : {e.a, e.b, e.c, e.result}) {
       if (operand >= nodes_.size())
         fail(report, "caches: computed-table entry " + std::to_string(i) +

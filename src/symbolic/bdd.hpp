@@ -36,13 +36,13 @@
 //     allocated (handles are dense, never reused) and are revived
 //     transparently on a unique-table hit until garbage_collect() or a
 //     reorder pass retires them.
-//   * The computed cache and the rename memo are invalidated epoch-style in
-//     one centralized helper whenever the order changes or a sweep retires
-//     nodes: a retired handle must never come back out of a cache.  The
-//     computed table is lossy, so its size is a policy, not part of
-//     correctness: it is allocated at the first operation that consults
-//     it, small, and grows with the node table (ensure_cache), so a
-//     manager's memory is proportional to what it holds.  The rename
+//   * The computed cache is cleared and the rename memo invalidated
+//     epoch-style in one centralized helper whenever the order changes or a
+//     sweep retires nodes: a retired handle must never come back out of a
+//     cache.  The computed table is lossy, so its size is a policy, not
+//     part of correctness: it is allocated at the first operation that
+//     consults it, small, and grows with the node table (ensure_cache), so
+//     a manager's memory is proportional to what it holds.  The rename
 //     memo's stamps also mark the nodes a walk (support, DAG size, rename's
 //     support pass, a store's record order) has visited, so a walk costs
 //     the nodes it visits.
@@ -248,11 +248,12 @@ class BddManager {
 
   /// Mark-and-sweep over the node table: retires every dead node (no
   /// external reference, no live parent) from the unique subtables, shrinks
-  /// subtable bucket arrays that emptied out, and epoch-invalidates the
-  /// computed cache and rename memo so no retired handle can come back out
-  /// of a cache.  Returns the number of nodes retired this sweep.  Inside a
-  /// protect_scope (or a reorder pass) the sweep is deferred: it records a
-  /// pending request, returns 0, and runs when the scope closes.
+  /// subtable bucket arrays that emptied out, and clears the computed
+  /// cache and epoch-invalidates the rename memo so no retired handle can
+  /// come back out of a cache.  Returns the number of nodes retired this
+  /// sweep.  Inside a protect_scope (or a reorder pass) the sweep is
+  /// deferred: it records a pending request, returns 0, and runs when the
+  /// scope closes.
   std::size_t garbage_collect();
 
   /// Arms automatic garbage collection: after a public operation, when the
@@ -303,7 +304,7 @@ class BddManager {
     std::size_t cache_hits = 0;           ///< computed-table hit
     std::size_t cache_misses = 0;         ///< computed-table miss
     std::size_t cache_evictions = 0;      ///< store displaced a valid entry
-    std::size_t cache_invalidations = 0;  ///< epoch bumps (reorders + sweeps)
+    std::size_t cache_invalidations = 0;  ///< table clears (reorders + sweeps)
     std::size_t cache_entries = 0;        ///< computed-table size, 0 until first use
     std::size_t reorder_hook_calls = 0;   ///< growth-trigger firings
     std::size_t sift_passes = 0;          ///< reorder_now invocations that ran
@@ -367,9 +368,10 @@ class BddManager {
     /// live-node and per-variable live totals, queue/flag coherence,
     /// retired-implies-unreferenced.
     kLiveness = 1,
-    /// Computed-table and rename-memo epoch coherence: no current-epoch
-    /// entry references a retired handle or carries an epoch from the
-    /// future (which would spontaneously validate after an invalidation).
+    /// Computed-table and rename-memo coherence: no computed-table entry
+    /// and no current-epoch rename-memo entry references a retired handle,
+    /// and no memo stamp carries an epoch from the future (which would
+    /// spontaneously validate after an invalidation).
     kCaches = 2,
     /// SatCount consistency on every externally rooted function:
     /// normalization (odd mantissa, zero => exponent 0, exponent >= 0) and
@@ -466,15 +468,10 @@ class BddManager {
   /// liveness: sweeps, reordering, live_nodes(), check_invariants().
   void flush_dead_queue() noexcept;
 
-  /// Centralized cache invalidation: advances the computed-table epoch and
-  /// bumps the rename-memo epoch in one place — the single path every
+  /// Centralized cache invalidation: clears the computed table and bumps
+  /// the rename-memo epoch in one place — the single path every
   /// order-changing or node-retiring operation goes through.
   void invalidate_operation_caches();
-  /// Moves cache_epoch_ to an epoch no entry carries: one past it, or, at
-  /// the maximum (where one past would wrap onto stamps already used, and
-  /// an entry holding a retired handle could come back valid), 1 with the
-  /// table cleared.
-  void advance_cache_epoch();
 
   // Sifting + GC internals.
   /// Unlinks every dead node from the unique subtables (they stay allocated
@@ -485,8 +482,8 @@ class BddManager {
   /// rewrite mints more dead children until the pile compounds
   /// exponentially across a pass.  Safe exactly because dead nodes are
   /// closed under linkage (no linked node references a dead one after the
-  /// sweep) and the computed caches are epoch-invalidated before anyone can
-  /// look a retired handle up again.
+  /// sweep) and the computed caches are invalidated before anyone can look
+  /// a retired handle up again.
   std::size_t collect_dead_nodes();
   void swap_levels_internal(std::uint32_t lvl);
   void exchange_blocks(std::uint32_t pos);
@@ -535,14 +532,14 @@ class BddManager {
                                std::vector<char>& seen) const;
 
   // Computed-table cache: 2-way set-associative, keyed (op, a, b, c), with
-  // epoch-stamped entries (epoch mismatch == invalid) and last-use aging.
+  // last-use aging.  An entry whose op is kNone is empty; invalidation
+  // empties them all.
   enum class Op : std::uint32_t { kNone = 0, kIte, kAndExists, kPairPreImage };
   struct CacheEntry {
     Op op = Op::kNone;
     Bdd a = 0, b = 0, c = 0;
     Bdd result = 0;
-    std::uint32_t epoch = 0;  // valid only when == cache_epoch_
-    std::uint32_t used = 0;   // aging tick of the last hit/store
+    std::uint32_t used = 0;  // aging tick of the last hit/store
   };
   [[nodiscard]] std::size_t cache_set(Op op, Bdd a, Bdd b, Bdd c) const;
   bool cache_lookup(Op op, Bdd a, Bdd b, Bdd c, Bdd& out);
@@ -573,7 +570,6 @@ class BddManager {
 
   std::vector<CacheEntry> cache_;  // empty until ensure_cache()
   std::size_t cache_set_mask_ = 0;  // sets - 1 (each set is two entries)
-  std::uint32_t cache_epoch_ = 1;
   std::uint32_t cache_tick_ = 0;
 
   Stats stats_;

@@ -9,7 +9,7 @@
 #include <ostream>
 #include <unordered_set>
 
-#include "rt/failpoint.hpp"
+#include "rt/budget.hpp"
 #include "support/error.hpp"
 
 namespace ictl::symbolic {
@@ -261,7 +261,8 @@ LoadedBdds load_bdds(std::istream& in) {
     support::require<Error>(std::uint64_t{num_roots} * 8 <= *left - 8 - need_nodes,
                             "load_bdds: root count exceeds remaining file size");
   }
-  ICTL_FAILPOINT("store/load_bdds");
+  // Checkpoint after the header checks, before any manager is built.
+  rt::checkpoint("store/load_bdds");
 
   LoadedBdds result;
   result.manager = std::make_shared<BddManager>(num_vars);

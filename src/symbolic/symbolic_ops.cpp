@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 #include "support/error.hpp"
 
 namespace ictl::symbolic {
@@ -91,7 +90,6 @@ Set SymbolicStateOps::eu(const Set& f, const Set& g) {
     // Checkpoint before opening the scope: a trip here unwinds across
     // nothing but the rooted z/frontier locals.
     rt::charge_iteration("sym/eu_fixpoint");
-    ICTL_FAILPOINT("sym/eu_iter");
     ++last_iterations_;
     // The scope covers one iteration body: GC and growth-triggered sifting
     // are deferred across the and/or/pre_image chain until the first
@@ -113,7 +111,6 @@ Set SymbolicStateOps::eg(const Set& f) {
   last_iterations_ = 0;
   while (true) {
     rt::charge_iteration("sym/eg_fixpoint");
-    ICTL_FAILPOINT("sym/eg_iter");
     ++last_iterations_;
     const auto scope = m.protect_scope();
     BddRef next = m.bdd_and(z, system_->reachable_pre_image(z));
@@ -135,7 +132,6 @@ Set SymbolicStateOps::orbit_fold(const Set& s, bool conjunctive) const {
   BddRef acc = s;
   while (true) {
     rt::charge_iteration("sym/orbit_fold");
-    ICTL_FAILPOINT("sym/orbit_step");
     ICTL_COUNT("sym", "orbit_steps");
     BddRef image = m.rename(acc, pi);
     if (image.get() == acc.get()) return acc;

@@ -7,7 +7,6 @@
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 #include "support/error.hpp"
 
 namespace ictl::symbolic {
@@ -240,7 +239,6 @@ class Saturation {
       bool changed = grew[0] || grew[1];
       while (changed) {
         rt::charge_iteration("sym/saturation");
-        ICTL_FAILPOINT("sym/saturation_sweep");
         ICTL_COUNT("sym", "saturation_rounds");
         changed = false;
         for (const std::size_t i : {0, 1}) {
@@ -350,7 +348,6 @@ Bdd TransitionSystem::reachable() const {
     BddRef frontier = initial_;
     while (frontier.get() != kBddFalse) {
       rt::charge_iteration("sym/reach_frontier");
-      ICTL_FAILPOINT("sym/reach_round");
       ICTL_COUNT("sym", "frontier_rounds");
       BddRef next = mgr_->bdd_or(reach, post_image(frontier));
       frontier = mgr_->bdd_diff(next, reach);

@@ -17,7 +17,6 @@
 #include "kripke/structure.hpp"
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
-#include "rt/failpoint.hpp"
 #include "support/bitset.hpp"
 #include "support/error.hpp"
 
@@ -217,7 +216,6 @@ inline FindResult find_correspondence(const kripke::Structure& m1,
       changed = false;
       ++result.iterations;
       rt::charge_iteration("bisim/degree_fixpoint");
-      ICTL_FAILPOINT("bisim/degree_round");
       for (const std::uint64_t k : candidates) {
         // Rounds over a large candidate set can be long on their own;
         // keep the deadline responsive with a batched in-round check.

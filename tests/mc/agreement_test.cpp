@@ -5,8 +5,10 @@
 
 #include "../helpers.hpp"
 #include "logic/parser.hpp"
+#include "logic/printer.hpp"
 #include "mc/ctl_checker.hpp"
 #include "mc/ctlstar_checker.hpp"
+#include "ring/ring.hpp"
 
 namespace ictl::mc {
 namespace {
@@ -43,6 +45,21 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, AgreementSweep,
     ::testing::Combine(::testing::Values(10u, 25u, 50u),
                        ::testing::Values(2u, 4u, 8u, 16u)));
+
+TEST(FastPathAndTableau, AgreeOnQuantifiedRingSpecsAndIff) {
+  // P3 and P4 quantify over indices and `<->` is a connective of its own:
+  // with the fast path off, the generic checker evaluates both itself.
+  const auto sys = testing::ring_of(4);
+  Checker fast(sys.structure());
+  CheckerOptions no_fast_options;
+  no_fast_options.use_ctl_fast_path = false;
+  Checker slow(sys.structure(), no_fast_options);
+  for (const auto& f : {ring::property_request_granted(), ring::property_eventually_critical(),
+                        parse_formula("E F c[1] <-> t[1]")})
+    EXPECT_TRUE(fast.sat(f) == slow.sat(f)) << logic::to_string(f);
+  EXPECT_EQ(slow.stats().ctl_fast_path_hits, 0u);
+  EXPECT_GT(slow.stats().tableau_builds, 0u);
+}
 
 class SemanticLaws
     : public ::testing::TestWithParam<std::uint32_t> {};

@@ -23,7 +23,7 @@ TEST(ResourceBudget, UnlimitedBudgetNeverTripsAndAccumulates) {
   ResourceBudget budget;
   for (int i = 0; i < 100; ++i) budget.checkpoint("test/loop");
   budget.charge_iteration("test/fixpoint");
-  budget.charge_work(1000, "test/batch");
+  budget.checkpoint("test/batch", 1000);
   EXPECT_EQ(budget.iterations(), 1u);
   // checkpoint() counts one unit each; charge_iteration adds one more.
   EXPECT_GE(budget.work(), 1100u);
@@ -131,27 +131,27 @@ TEST(FreeHelpers, NoOpWithoutAnInstalledBudget) {
   // Would throw instantly if a zero-work budget were installed.
   checkpoint("test/none");
   charge_iteration("test/none");
-  charge_work(1 << 20, "test/none");
+  checkpoint("test/none", 1 << 20);
   EXPECT_FALSE(interrupt_pending());
 }
 
 TEST(FreeHelpers, RouteToTheInstalledBudget) {
   ResourceBudget budget(BudgetLimits{.work_cap = 5});
   const BudgetScope scope(budget);
-  EXPECT_THROW(charge_work(100, "test/routed"), BudgetExceeded);
+  EXPECT_THROW(checkpoint("test/routed", 100), BudgetExceeded);
 }
 
 TEST(BudgetScope, ScopeClosedByUnwindRestoresTheOuterBudget) {
   ResourceBudget tight(BudgetLimits{.work_cap = 1});
   try {
     const BudgetScope scope(tight);
-    charge_work(10, "test/unwind");
+    checkpoint("test/unwind", 10);
     FAIL();
   } catch (const BudgetExceeded&) {
   }
   // The scope unwound with the exception: checkpoints are free again.
   EXPECT_EQ(current_budget(), nullptr);
-  charge_work(1 << 20, "test/after_unwind");
+  checkpoint("test/after_unwind", 1 << 20);
 }
 
 }  // namespace

@@ -280,7 +280,6 @@ TEST(BudgetTrip, CorrespondenceIterationCapTripsAndRetries) {
 }
 
 TEST(BudgetTrip, CorrespondenceFailpointMidFixpointRetries) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   // A ring IN pair: degrees creep up over several rounds of the fixpoint.
   auto reg = kripke::make_registry();
   const auto m1 = kripke::reduce_to_index(testing::ring_of(3, reg).structure(), 2);
@@ -289,7 +288,7 @@ TEST(BudgetTrip, CorrespondenceFailpointMidFixpointRetries) {
   ASSERT_TRUE(want.relation.has_value());
   ASSERT_GE(want.iterations, 3u);
 
-  arm_failpoint("bisim/degree_round", want.iterations / 2);
+  arm_failpoint("bisim/degree_fixpoint", want.iterations / 2);
   EXPECT_THROW(static_cast<void>(bisim::find_correspondence(m1, m2)), Interrupted);
   EXPECT_EQ(armed_failpoints(), 0u);
   const bisim::FindResult again = bisim::find_correspondence(m1, m2);
@@ -300,7 +299,6 @@ TEST(BudgetTrip, CorrespondenceFailpointMidFixpointRetries) {
 }
 
 TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   auto reg = kripke::make_registry();
   const auto m = testing::random_structure(reg, 28, 17);
   const auto f =
@@ -308,13 +306,13 @@ TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
                       logic::EG(logic::atom("q")));
   const mc::SatSet want = reference_sat(m, f);
 
-  // Every site must be on this query's path, so a site that never fires
+  // Every phase must be on this query's path, so a phase that never fires
   // fails here instead of testing nothing.  The checker is built with the
-  // site armed: its constructor computes the reachable set, which for
+  // phase armed: its constructor computes the reachable set, which for
   // from_structure's one-part relation runs the frontier loop
-  // (sym/reach_round).
+  // (sym/reach_frontier).
   for (const char* site :
-       {"sym/eu_iter", "sym/eg_iter", "sym/reach_round", "eval/instruction"}) {
+       {"sym/eu_fixpoint", "sym/eg_fixpoint", "sym/reach_frontier", "eval/program"}) {
     auto ts =
         std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
     std::optional<symbolic::CtlChecker> checker;
@@ -339,12 +337,38 @@ TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
   }
 }
 
+TEST(BudgetTrip, ExplicitFailpointsLeaveTheCheckerReusable) {
+  // The explicit EU and EG worklist loops checkpoint on entry, so arming
+  // either phase trips the query's first fixpoint of that kind; the
+  // evaluator's per-instruction phase trips its first instruction.
+  auto reg = kripke::make_registry();
+  const auto m = testing::random_structure(reg, 28, 17);
+  const auto f =
+      logic::make_and(logic::EU(logic::atom("p"), logic::atom("q")),
+                      logic::EG(logic::atom("q")));
+  const mc::SatSet want = reference_sat(m, f);
+  for (const char* site : {"mc/eu_fixpoint", "mc/eg_fixpoint", "eval/program"}) {
+    mc::CtlChecker checker(m, {.unknown_atoms_are_false = true});
+    arm_failpoint(site);
+    try {
+      static_cast<void>(checker.sat(f));
+      ADD_FAILURE() << site << " never fired";
+      disarm_failpoints();
+    } catch (const Interrupted&) {
+      EXPECT_EQ(armed_failpoints(), 0u) << site << " is not one-shot";
+    }
+    const mc::SatSet& got = checker.sat(f);
+    for (kripke::StateId s = 0; s < m.num_states(); ++s)
+      EXPECT_EQ(got.test(s), want.test(s)) << "site " << site << ", state " << s;
+  }
+}
+
 TEST(BudgetTrip, RingSaturationTripsTypedAuditsCleanAndRetries) {
-  // A ring reach stopped mid-saturation three ways — the per-round
-  // failpoint, the iteration cap, and a node cap below the reach's own size
-  // (enforced at the maintenance point that closes the saturation) — must
-  // unwind typed, cache no fixpoint, audit clean, and retry unbudgeted to
-  // the reference fixpoint on the same manager.
+  // A ring reach stopped mid-saturation three ways — a failpoint on the
+  // saturation's checkpoints, the iteration cap, and a node cap below the
+  // reach's own size (enforced at the maintenance point that closes the
+  // saturation) — must unwind typed, cache no fixpoint, audit clean, and
+  // retry unbudgeted to the reference fixpoint on the same manager.
   constexpr std::uint32_t kR = 10;
   auto mgr = std::make_shared<symbolic::BddManager>(0);
   auto reg = kripke::make_registry();
@@ -360,12 +384,11 @@ TEST(BudgetTrip, RingSaturationTripsTypedAuditsCleanAndRetries) {
 
   enum class Trip { kFailpoint, kIterations, kNodes };
   for (const Trip trip : {Trip::kFailpoint, Trip::kIterations, Trip::kNodes}) {
-    if (trip == Trip::kFailpoint && !kFailpointsCompiledIn) continue;
     const auto ring = symbolic::build_symbolic_ring(kR, mgr, reg);
     BudgetLimits limits;
     if (trip == Trip::kIterations) limits.iteration_cap = rounds / 2;
     if (trip == Trip::kNodes) limits.node_cap = mgr->dag_size(want);
-    if (trip == Trip::kFailpoint) arm_failpoint("sym/saturation_sweep", rounds / 2);
+    if (trip == Trip::kFailpoint) arm_failpoint("sym/saturation", rounds / 2);
     ResourceBudget budget(limits);
     const int leg = static_cast<int>(trip);
     try {
@@ -506,7 +529,6 @@ TEST(BudgetTrip, NodeCapWhileTheRotationIsVerifiedCachesNothing) {
 }
 
 TEST(BudgetTrip, FailpointInTheRotationFoldCachesNoSatisfyingSet) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   // c[1]'s set is not rotation-invariant, so the fold takes r - 1 steps and
   // the failpoint trips mid-fold.  The trip memoizes nothing: the retry on
   // the same checker runs the program again and matches the explicit
@@ -517,10 +539,10 @@ TEST(BudgetTrip, FailpointInTheRotationFoldCachesNoSatisfyingSet) {
   const std::shared_ptr<const TransitionSystem> ts = ring.system;
   symbolic::CtlChecker checker(ts);
   const auto f = logic::parse_formula("exists i. c[i]");
-  arm_failpoint("sym/orbit_step", 2);
+  arm_failpoint("sym/orbit_fold", 2);
   try {
     static_cast<void>(checker.sat(f));
-    ADD_FAILURE() << "sym/orbit_step never fired";
+    ADD_FAILURE() << "sym/orbit_fold never fired";
     disarm_failpoints();
   } catch (const Interrupted&) {
     EXPECT_EQ(armed_failpoints(), 0u);

@@ -1,7 +1,8 @@
 // Unit tests for the deterministic fault-injection hooks (rt/failpoint.hpp):
 // one-shot arming and auto-disarm, skip counts, spec-string parsing
 // (including the validate-everything-before-arming-anything rule), and the
-// compiled-out configuration's graceful no-op behavior.
+// failpoint's place in rt::checkpoint: with or without a budget, and
+// before the budget is charged.
 #include <gtest/gtest.h>
 
 #include "rt/budget.hpp"
@@ -18,80 +19,90 @@ class FailpointTest : public ::testing::Test {
 
 TEST_F(FailpointTest, DisarmedSitesAreFree) {
   ASSERT_EQ(armed_failpoints(), 0u);
-  for (int i = 0; i < 1000; ++i) ICTL_FAILPOINT("test/site");
+  for (int i = 0; i < 1000; ++i) checkpoint("test/site");
 }
 
 TEST_F(FailpointTest, ArmedSiteFiresOnceAndDisarmsItself) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   arm_failpoint("test/one_shot");
   EXPECT_EQ(armed_failpoints(), 1u);
-  EXPECT_THROW(ICTL_FAILPOINT("test/one_shot"), Interrupted);
+  EXPECT_THROW(checkpoint("test/one_shot"), Interrupted);
   // One-shot: the firing disarmed it, so a retry of the same code path
   // (the budget-trip stress suite's re-run) sails through.
   EXPECT_EQ(armed_failpoints(), 0u);
-  ICTL_FAILPOINT("test/one_shot");
+  checkpoint("test/one_shot");
 }
 
 TEST_F(FailpointTest, SkipCountDelaysTheTrip) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   arm_failpoint("test/skip", /*skip=*/2);
-  ICTL_FAILPOINT("test/skip");  // 1st hit: skipped
-  ICTL_FAILPOINT("test/skip");  // 2nd hit: skipped
+  checkpoint("test/skip");  // 1st hit: skipped
+  checkpoint("test/skip");  // 2nd hit: skipped
   EXPECT_EQ(armed_failpoints(), 1u);
-  EXPECT_THROW(ICTL_FAILPOINT("test/skip"), Interrupted);  // 3rd: fires
+  EXPECT_THROW(checkpoint("test/skip"), Interrupted);  // 3rd: fires
   EXPECT_EQ(armed_failpoints(), 0u);
 }
 
 TEST_F(FailpointTest, OnlyTheNamedSiteFires) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   arm_failpoint("test/this");
-  ICTL_FAILPOINT("test/other");  // different name: untouched
+  checkpoint("test/other");  // different name: untouched
   EXPECT_EQ(armed_failpoints(), 1u);
-  EXPECT_THROW(ICTL_FAILPOINT("test/this"), Interrupted);
+  EXPECT_THROW(checkpoint("test/this"), Interrupted);
 }
 
 TEST_F(FailpointTest, RearmingResetsTheSkipCount) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   arm_failpoint("test/rearm", /*skip=*/5);
   arm_failpoint("test/rearm");  // reset to trip on the next hit
   EXPECT_EQ(armed_failpoints(), 1u);
-  EXPECT_THROW(ICTL_FAILPOINT("test/rearm"), Interrupted);
+  EXPECT_THROW(checkpoint("test/rearm"), Interrupted);
 }
 
 TEST_F(FailpointTest, SpecParsingArmsListsWithSkips) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   EXPECT_TRUE(arm_failpoints_from_spec("test/a@2,test/b"));
   EXPECT_EQ(armed_failpoints(), 2u);
-  EXPECT_THROW(ICTL_FAILPOINT("test/b"), Interrupted);
-  ICTL_FAILPOINT("test/a");
-  ICTL_FAILPOINT("test/a");
-  EXPECT_THROW(ICTL_FAILPOINT("test/a"), Interrupted);
+  EXPECT_THROW(checkpoint("test/b"), Interrupted);
+  checkpoint("test/a");
+  checkpoint("test/a");
+  EXPECT_THROW(checkpoint("test/a"), Interrupted);
   EXPECT_EQ(armed_failpoints(), 0u);
 }
 
 TEST_F(FailpointTest, MalformedSpecsArmNothing) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
-  for (const char* bad : {"", ",", "a,", ",b", "a@", "@2", "a@x", "a@2,"}) {
+  // The last two skips overflow 64 bits: 2^64, and a 25-digit number.
+  for (const char* bad : {"", ",", "a,", ",b", "a@", "@2", "a@x", "a@2,",
+                          "a@18446744073709551616", "b,a@1234567890123456789012345"}) {
     EXPECT_FALSE(arm_failpoints_from_spec(bad)) << "spec: '" << bad << "'";
     EXPECT_EQ(armed_failpoints(), 0u) << "spec: '" << bad << "'";
   }
 }
 
+TEST_F(FailpointTest, TheLargestSkipIsTwoToTheSixtyFourMinusOne) {
+  EXPECT_TRUE(arm_failpoints_from_spec("test/max@18446744073709551615"));
+  EXPECT_EQ(armed_failpoints(), 1u);
+  checkpoint("test/max");
+  EXPECT_EQ(armed_failpoints(), 1u);
+}
+
+TEST_F(FailpointTest, AnArmedPhaseFiresBeforeTheBudgetIsCharged) {
+  ResourceBudget budget;
+  const BudgetScope scope(budget);
+  arm_failpoint("test/work");
+  EXPECT_THROW(checkpoint("test/work", 100), Interrupted);
+  EXPECT_EQ(budget.work(), 0u);
+  arm_failpoint("test/round");
+  EXPECT_THROW(charge_iteration("test/round"), Interrupted);
+  EXPECT_EQ(budget.iterations(), 0u);
+  // Both fired once: the same checkpoints now charge the budget.
+  checkpoint("test/work", 100);
+  charge_iteration("test/round");
+  EXPECT_EQ(budget.work(), 101u);
+  EXPECT_EQ(budget.iterations(), 1u);
+}
+
 TEST_F(FailpointTest, DisarmAllClearsEverything) {
-  if (!kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   ASSERT_TRUE(arm_failpoints_from_spec("test/x,test/y@9"));
   disarm_failpoints();
   EXPECT_EQ(armed_failpoints(), 0u);
-  ICTL_FAILPOINT("test/x");
-  ICTL_FAILPOINT("test/y");
-}
-
-TEST_F(FailpointTest, CompiledOutConfigurationIsInert) {
-  if (kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled in";
-  // Arming is a no-op and the macro never throws.
-  arm_failpoint("test/ghost");
-  EXPECT_EQ(armed_failpoints(), 0u);
-  ICTL_FAILPOINT("test/ghost");
+  checkpoint("test/x");
+  checkpoint("test/y");
 }
 
 }  // namespace

@@ -157,6 +157,36 @@ TEST(ThreeEngineDifferential, ClientServerStars) {
   }
 }
 
+TEST(ThreeEngineDifferential, ExactlyOneOverIndexedMembersWithoutATheta) {
+  // A text model registers p[1..3] and no theta proposition, so `one p`
+  // compiles to an exactly-one leaf over the members, which each engine
+  // builds from the members' own sets.
+  auto reg = kripke::make_registry();
+  const auto m = kripke::parse_structure(R"(state 0
+label 0 p[1]
+state 1
+label 1 p[1] p[2]
+state 2
+state 3
+label 3 p[3]
+state 4
+label 4 p[2] q
+edge 0 1
+edge 1 2
+edge 2 3
+edge 3 0
+edge 1 4
+edge 4 3
+init 0
+indices 1 2 3
+)",
+                                         reg);
+  ASSERT_FALSE(reg->find_theta("p").has_value());
+  for (const char* text : {"one p", "E F (one p & q)", "A G (one p | !p[2])",
+                           "E [one p U p[3]]", "E G !one p"})
+    expect_three_way_agreement(m, logic::parse_formula(text), "one p");
+}
+
 class RingDifferential : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(RingDifferential, SectionFiveSpecificationsAgree) {

@@ -1,8 +1,9 @@
 // Exception-safety of protect_scope() and BddRef unwinding, driven by
-// deterministic failpoints: a throw from inside (possibly nested) protect
-// scopes must release every scope, run the deferred sweeps, keep external
-// root counts balanced, settle the deferred-death queue, and bring
-// audit(kLiveness) — and live_nodes — back to the pre-scope baseline.
+// deterministic failpoints armed on checkpoint phases: a throw from inside
+// (possibly nested) protect scopes must release every scope, run the
+// deferred sweeps, keep external root counts balanced, settle the
+// deferred-death queue, and bring audit(kLiveness) — and live_nodes — back
+// to the pre-scope baseline.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,10 +20,7 @@ namespace {
 
 class UnwindTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!rt::kFailpointsCompiledIn) GTEST_SKIP() << "failpoints compiled out";
-    rt::disarm_failpoints();
-  }
+  void SetUp() override { rt::disarm_failpoints(); }
   void TearDown() override { rt::disarm_failpoints(); }
 };
 
@@ -44,7 +42,7 @@ TEST_F(UnwindTest, ThrowInsideProtectScopeRestoresTheBaseline) {
     for (std::uint32_t v = 8; v-- > 4;) chain = mgr.make_node(v, kBddFalse, chain);
     const BddRef held = mgr.bdd_or(chain, mgr.bdd_and(mgr.var(5), mgr.var(6)));
     EXPECT_NE(held.get(), kBddFalse);
-    ICTL_FAILPOINT("test/unwind");
+    rt::checkpoint("test/unwind");
     FAIL() << "failpoint never fired";
   } catch (const Interrupted&) {
   }
@@ -73,7 +71,7 @@ TEST_F(UnwindTest, NestedScopesUnwindTogether) {
       const auto inner = mgr.protect_scope();
       const Bdd rhs = mgr.bdd_or(lhs, mgr.var(3));
       EXPECT_NE(rhs, kBddFalse);
-      ICTL_FAILPOINT("test/inner");
+      rt::checkpoint("test/inner");
     }
     FAIL() << "failpoint never fired";
   } catch (const Interrupted&) {
@@ -104,7 +102,7 @@ TEST_F(UnwindTest, GcFailpointThrowsBeforeAnyMutation) {
 
   rt::arm_failpoint("bdd/gc");
   EXPECT_THROW(static_cast<void>(mgr.garbage_collect()), Interrupted);
-  // The failpoint sits above the first mutation: nothing swept, nothing
+  // The checkpoint sits above the first mutation: nothing swept, nothing
   // corrupted.
   EXPECT_EQ(mgr.stats().gc_runs, gc_runs);
   ASSERT_TRUE(mgr.check_invariants());
@@ -130,7 +128,7 @@ TEST_F(UnwindTest, ReorderFailpointThrowsBeforeEntry) {
 }
 
 TEST_F(UnwindTest, LoadBddsFailpointAbortsCleanlyAndTheRetrySucceeds) {
-  // save -> arm the load failpoint -> the load throws after the header
+  // save -> arm the load's checkpoint -> the load throws after the header
   // checks but before the fresh manager is populated, and the one-shot
   // disarm means the retry round-trips fine.
   BddManager mgr(6);

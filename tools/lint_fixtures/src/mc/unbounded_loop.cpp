@@ -3,8 +3,7 @@
 // interrupt them.
 
 namespace rt {
-void checkpoint(const char*);
-void charge_work(unsigned long long, const char*);
+void checkpoint(const char*, unsigned long long = 1);
 }  // namespace rt
 
 void eu_fixpoint(bool changed) {
@@ -17,7 +16,7 @@ void eu_fixpoint(bool changed) {
     changed = false;
   }
   while (changed) {  // clean: checkpointed body
-    rt::charge_work(1, "fixture/fixpoint");
+    rt::checkpoint("fixture/fixpoint", 1);
     changed = false;
   }
   unsigned frontier = 3;
